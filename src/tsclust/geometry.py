@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDims, LengthMismatch, NonOrthonormalBasis, ZeroVector
+from .errors import InvalidDims, LengthMismatch, NonFinite, NonOrthonormalBasis, ZeroVector
 
 #: Max-entry deviation of U^T U from the identity beyond which a basis is rejected.
 ORTHONORMALITY_TOL = 1e-8
@@ -34,7 +34,7 @@ class PointSet:
     Parameters
     ----------
     data : (m, N) ndarray
-        One point per column.
+        One point per column; every entry must be finite.
     labels : (N,) int ndarray, optional
         Ground-truth cluster ids.  Ids are 1-based; the value 0 is reserved
         for points marked as outliers by the synthetic generators.
@@ -47,6 +47,8 @@ class PointSet:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidDims(f"point matrix must be 2-D and nonempty, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise NonFinite("point matrix contains NaN or Inf")
         object.__setattr__(self, "data", data)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=int).ravel()
@@ -152,16 +154,26 @@ class PrincipalAngleReport:
 def normalize_columns(points: PointSet) -> PointSet:
     """Scale every column to unit Euclidean norm, preserving labels.
 
+    A column whose norm overflows (entries near 1e154 and beyond) is first
+    divided by its largest absolute entry; every other column is divided by
+    its plain norm.
+
     Raises
     ------
     ZeroVector
         If any column has norm <= 1e-14.
     """
-    norms = np.linalg.norm(points.data, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(points.data, axis=0)
     bad = np.flatnonzero(norms <= ZERO_NORM_TOL)
     if bad.size:
         raise ZeroVector(int(bad[0]))
-    return PointSet(points.data / norms, points.labels)
+    data = points.data / norms
+    huge = ~np.isfinite(norms)
+    if huge.any():
+        cols = points.data[:, huge] / np.abs(points.data[:, huge]).max(axis=0)
+        data[:, huge] = cols / np.linalg.norm(cols, axis=0)
+    return PointSet(data, points.labels)
 
 
 def spherical_pseudo_distance(x: np.ndarray, y: np.ndarray) -> float:

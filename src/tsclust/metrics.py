@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
@@ -71,24 +72,29 @@ def feature_detection_error(A, true_labels) -> float:
     For column i, the ratio is the norm of the entries whose rows share
     point i's true label divided by the full column norm (columns with norm
     <= 1e-14 contribute 0).  The FDE is one minus the mean ratio; it is zero
-    exactly when no edge joins points with different labels.
+    exactly when no edge joins points with different labels.  ``A`` may be
+    dense or sparse; it is read through its nonzero entries, in ascending
+    row order per column.
 
     Raises
     ------
     LengthMismatch
         If the label vector does not match the adjacency size.
     """
-    A = np.asarray(A, dtype=float)
+    A = sparse.csc_array(A, dtype=float)
     labels = np.asarray(true_labels, dtype=int).ravel()
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    if labels.size != A.shape[1]:
-        raise LengthMismatch(f"{labels.size} labels for {A.shape[1]} columns")
-    total = np.linalg.norm(A, axis=0)
-    within = np.zeros(A.shape[1])
-    for lab in np.unique(labels):
-        mask = labels == lab
-        within[mask] = np.linalg.norm(A[np.ix_(mask, mask)], axis=0)
+    N = A.shape[1]
+    if labels.size != N:
+        raise LengthMismatch(f"{labels.size} labels for {N} columns")
+    A.sum_duplicates()
+    rows = A.indices
+    cols = np.repeat(np.arange(N), np.diff(A.indptr))
+    squares = A.data * A.data
+    same = labels[rows] == labels[cols]
+    total = np.sqrt(np.bincount(cols, squares, minlength=N))
+    within = np.sqrt(np.bincount(cols[same], squares[same], minlength=N))
     ratios = np.where(total > FDE_NORM_TOL, within / np.where(total > 0, total, 1.0), 0.0)
     return float(1.0 - ratios.mean())
 

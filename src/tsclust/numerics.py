@@ -1,5 +1,6 @@
-"""Dense numeric primitives: symmetric eigendecomposition, minimum-norm
-least squares, seeded k-means, and sub-stream seed derivation.
+"""Numeric primitives: symmetric eigendecomposition (one connected component
+of the sparsity pattern at a time), minimum-norm least squares, seeded
+k-means, and sub-stream seed derivation.
 
 The eigendecomposition and SVD are delegated to LAPACK (via numpy); the
 contracts here are the reconstruction/optimality invariants, not the
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidK, NonFinite
 
@@ -69,25 +72,48 @@ class KMeansResult:
     inertia_history: tuple[float, ...]
 
 
-def sym_eig(A: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a (numerically) symmetric real matrix.
+def sym_eig(A) -> SpectralDecomposition:
+    """Complete eigendecomposition of a (numerically) symmetric real matrix,
+    dense or sparse.
 
     The input is symmetrized as ``(A + A^T) / 2`` before factorization, so
-    floating-point asymmetry up to the caller's tolerance is absorbed.
+    floating-point asymmetry up to the caller's tolerance is absorbed.  The
+    symmetrized matrix is split into the connected components of its
+    nonzero pattern (a block-diagonal matrix up to a permutation) and each
+    block is solved with dense ``eigh``; the spectrum is therefore exact and
+    complete, and a connected matrix is the one-block case.  The N
+    eigenvalues come out ascending, ties in component order (components
+    numbered by their lowest index), and eigenvector ``i`` is supported on
+    the component of eigenvalue ``i``.  Only the N x N eigenvector matrix is
+    dense; each block is densified on its own.
 
     Raises
     ------
     NonFinite
         If ``A`` contains NaN or Inf.
     """
-    A = np.asarray(A, dtype=float)
+    A = sparse.csr_array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(A.data)):
         raise NonFinite("matrix contains NaN or Inf")
-    sym = (A + A.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    sym = ((A + A.T) / 2.0).tocsr()
+    count, component = connected_components(sym, directed=False)
+    # Nodes grouped by component, ascending within each: block c is the
+    # contiguous range bounds[c]:bounds[c + 1] of the permuted matrix.
+    nodes = np.argsort(component, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=count))))
+    permuted = sym[nodes][:, nodes]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    solved = [np.linalg.eigh(permuted[lo:hi, lo:hi].toarray()) for lo, hi in spans]
+    values = np.concatenate([w for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    eigenvectors = np.zeros((order.size, order.size))
+    for (lo, hi), (_, V) in zip(spans, solved):
+        eigenvectors[np.ix_(nodes[lo:hi], column[lo:hi])] = V
+    return SpectralDecomposition(eigenvalues=values[order], eigenvectors=eigenvectors)
 
 
 def least_squares(B: np.ndarray, y: np.ndarray) -> np.ndarray:

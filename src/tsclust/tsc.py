@@ -11,6 +11,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, QTooLarge, TooFewPoints
 from .geometry import PointSet, normalize_columns
@@ -21,6 +22,10 @@ DEGREE_TOL = 1e-14
 
 #: Embedding rows with norm at or below this are left as zero rows.
 ROW_NORM_TOL = 1e-14
+
+#: Points per block of the |X^T X| kernel; a block holds this many rows of N
+#: correlations, so memory stays at O(N * block) instead of O(N^2).
+CORRELATION_BLOCK = 256
 
 WEIGHT_VARIANTS = ("exp", "ls")
 
@@ -64,27 +69,38 @@ class TscConfig:
 @dataclass(frozen=True)
 class NeighborGraph:
     """Per-point neighbor index lists, the weight matrix Z (column j supported
-    on the neighbors of point j), and the symmetric adjacency A = Z + Z^T."""
+    on the neighbors of point j), and the symmetric adjacency A = Z + Z^T.
+
+    ``Z`` and ``A`` are ``scipy.sparse.csr_array`` of shape (N, N) that store
+    at most qN and 2qN entries; call ``.toarray()`` for a dense copy.
+    """
 
     neighbor_sets: list[np.ndarray]
-    Z: np.ndarray
-    A: np.ndarray
+    Z: sparse.csr_array
+    A: sparse.csr_array
 
     def edges_to_csv(self, path) -> None:
-        """Write the nonzero upper-triangle adjacency entries as ``i,j,weight``."""
-        rows, cols = np.nonzero(np.triu(self.A, k=1))
+        """Write the nonzero upper-triangle adjacency entries as ``i,j,weight``,
+        in row-major order."""
+        coo = self.A.tocoo()
+        keep = (coo.row < coo.col) & (coo.data != 0.0)
+        rows, cols, weights = coo.row[keep], coo.col[keep], coo.data[keep]
+        order = np.lexsort((cols, rows))
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["i", "j", "weight"])
-            for i, j in zip(rows, cols):
-                writer.writerow([int(i), int(j), format(self.A[i, j], ".17g")])
+            for k in order:
+                writer.writerow([int(rows[k]), int(cols[k]), format(weights[k], ".17g")])
 
 
 @dataclass(frozen=True)
 class ClusterResult:
     """Pipeline output: 1-based labels, the cluster count used, the full
-    ascending Laplacian spectrum, the gap index when the count was estimated,
-    and the neighbor graph the clustering was computed from."""
+    ascending Laplacian spectrum (length N, solved one connected component
+    of the graph at a time, see :func:`tsclust.numerics.sym_eig`), the gap
+    index when the count was estimated, and the neighbor graph the
+    clustering was computed from (sparse ``Z`` and ``A``, see
+    :class:`NeighborGraph`)."""
 
     labels: np.ndarray
     L_hat: int
@@ -118,22 +134,53 @@ def default_q(n: int, L_known: bool) -> int:
     return q if L_known else 2 * q
 
 
-def _abs_correlations(X: np.ndarray, normalize: bool) -> np.ndarray:
-    """|X^T X| with optional division by column norms, clamped to [0, 1]."""
-    G = X.T @ X
+def _correlation_blocks(X: np.ndarray, normalize: bool):
+    """Yield ``(start, C)`` over blocks of points, where row ``b`` of ``C``
+    holds ``|<x_{start+b}, x_i>|`` for every point i, optionally divided by
+    both column norms, clamped to [0, 1].
+
+    Neighbor selection and the ``exp`` weights both read their correlations
+    from here, so the two agree bit for bit.
+    """
+    N = X.shape[1]
     if normalize:
         norms = np.linalg.norm(X, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
-        G /= norms[None, :]
-        G /= norms[:, None]
-    np.abs(G, out=G)
-    np.clip(G, 0.0, 1.0, out=G)
-    return G
+    for start in range(0, N, CORRELATION_BLOCK):
+        stop = min(start + CORRELATION_BLOCK, N)
+        C = X[:, start:stop].T @ X
+        if normalize:
+            C /= norms[start:stop, None]
+            C /= norms[None, :]
+        np.abs(C, out=C)
+        np.clip(C, 0.0, 1.0, out=C)
+        yield start, C
+
+
+def _top_q(C: np.ndarray, q: int) -> np.ndarray:
+    """Per row of ``C``, the q column indices of largest value in descending
+    order, ties going to the lower index (``C`` has no NaN)."""
+    top = np.argpartition(C, C.shape[1] - q, axis=1)[:, -q:]
+    top.sort(axis=1)
+    vals = np.take_along_axis(C, top, axis=1)
+    # A row whose q-th value recurs outside the partition's pick takes the
+    # lowest-indexed of the tied entries instead.
+    kth = vals.min(axis=1)
+    for b in np.flatnonzero(np.count_nonzero(C >= kth[:, None], axis=1) > q):
+        cand = np.flatnonzero(C[b] >= kth[b])
+        cand = cand[np.argsort(-C[b, cand], kind="stable")[:q]]
+        top[b] = np.sort(cand)
+        vals[b] = C[b, top[b]]
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return np.take_along_axis(top, order, axis=1)
 
 
 def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> list[np.ndarray]:
     """For each point j, the q indices i != j with largest absolute
     correlation, in descending correlation order; ties go to the lower index.
+
+    Correlations come from blocks of |X^T X| (``CORRELATION_BLOCK`` points
+    at a time); no N x N matrix is formed.
 
     Raises
     ------
@@ -145,11 +192,11 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> list[n
         raise ConfigError(f"q must be >= 1, got {q}")
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
-    C = _abs_correlations(points.data, normalize)
-    np.fill_diagonal(C, -1.0)
-    # Stable sort on the negated correlations: descending value, ties by index.
-    order = np.argsort(-C, axis=0, kind="stable")
-    return [order[:q, j].copy() for j in range(N)]
+    neighbors = []
+    for start, C in _correlation_blocks(points.data, normalize):
+        C[np.arange(C.shape[0]), np.arange(start, start + C.shape[0])] = -1.0
+        neighbors.extend(_top_q(C, q))
+    return neighbors
 
 
 def compute_weights(
@@ -157,13 +204,15 @@ def compute_weights(
     neighbors: list[np.ndarray],
     weight_variant: str = "exp",
     normalize: bool = True,
-) -> np.ndarray:
-    """Column-j weights on the neighbor set of point j.
+) -> sparse.csr_array:
+    """Column-j weights on the neighbor set of point j, as an N x N CSR array.
 
-    ``"exp"``: ``exp(-2 arccos |corr(x_j, x_i)|)``.  ``"ls"``: absolute values
-    of the minimum-norm least-squares coefficients expressing ``x_j`` in the
-    columns indexed by its neighbor set (raw columns as provided; pass
-    pre-normalized points for correlation-equivalent behavior).
+    ``"exp"``: ``exp(-2 arccos |corr(x_j, x_i)|)``, with the correlations
+    taken from the same blocked kernel as :func:`select_neighbors`.
+    ``"ls"``: absolute values of the minimum-norm least-squares coefficients
+    expressing ``x_j`` in the columns indexed by its neighbor set (raw
+    columns as provided; pass pre-normalized points for
+    correlation-equivalent behavior).
     """
     if weight_variant not in WEIGHT_VARIANTS:
         raise ConfigError(f"unknown weight variant {weight_variant!r}")
@@ -171,60 +220,82 @@ def compute_weights(
     N = points.N
     if len(neighbors) != N:
         raise ValueError(f"{len(neighbors)} neighbor sets for {N} points")
-    Z = np.zeros((N, N))
+    sizes = [len(idx) for idx in neighbors]
+    rows = np.concatenate(neighbors).astype(np.intp, copy=False)
+    cols = np.repeat(np.arange(N), sizes)
     if weight_variant == "exp":
-        C = _abs_correlations(X, normalize)
-        for j, idx in enumerate(neighbors):
-            Z[idx, j] = np.exp(-2.0 * np.arccos(C[idx, j]))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        corr = np.empty(rows.size)
+        for start, C in _correlation_blocks(X, normalize):
+            lo, hi = offsets[start], offsets[start + C.shape[0]]
+            corr[lo:hi] = C[cols[lo:hi] - start, rows[lo:hi]]
+        weights = np.exp(-2.0 * np.arccos(corr))
     else:
-        for j, idx in enumerate(neighbors):
-            w = least_squares(X[:, idx], X[:, j])
-            Z[idx, j] = np.abs(w)
-    return Z
+        weights = np.concatenate(
+            [np.abs(least_squares(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors)]
+        )
+    return sparse.csr_array((weights, (rows, cols)), shape=(N, N))
 
 
-def assemble_adjacency(Z: np.ndarray, neighbor_sets: list[np.ndarray] | None = None) -> NeighborGraph:
+def assemble_adjacency(Z, neighbor_sets: list[np.ndarray] | None = None) -> NeighborGraph:
     """Symmetrize the weight matrix into ``A = Z + Z^T``.
 
-    When ``neighbor_sets`` is omitted they are reconstructed from the support
+    ``Z`` may be dense or sparse; the graph holds CSR ``Z`` and ``A``.  When
+    ``neighbor_sets`` is omitted they are reconstructed from the support
     of each column (descending weight, ties by index); pass the original sets
     to preserve selection order for weights that can be zero.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = sparse.csr_array(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError(f"Z must be square, got shape {Z.shape}")
-    if np.any(Z < 0.0):
+    if np.any(Z.data < 0.0):
         raise ValueError("Z must be nonnegative")
-    if np.any(np.diag(Z) != 0.0):
+    if np.any(Z.diagonal() != 0.0):
         raise ValueError("Z must have a zero diagonal")
     if neighbor_sets is None:
+        by_column = Z.tocsc()
         neighbor_sets = []
         for j in range(Z.shape[1]):
-            nz = np.flatnonzero(Z[:, j] > 0.0)
-            neighbor_sets.append(nz[np.argsort(-Z[nz, j], kind="stable")])
-    A = Z + Z.T
+            span = slice(by_column.indptr[j], by_column.indptr[j + 1])
+            nz, w = by_column.indices[span], by_column.data[span]
+            nz, w = nz[w > 0.0], w[w > 0.0]
+            neighbor_sets.append(nz[np.argsort(-w, kind="stable")].astype(np.intp))
+    A = (Z + Z.T).tocsr()
     return NeighborGraph(neighbor_sets=neighbor_sets, Z=Z, A=A)
 
 
-def normalized_laplacian(A: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``.
+def normalized_laplacian(A) -> sparse.csr_array:
+    """Symmetric normalized Laplacian ``I - D^{-1/2} A D^{-1/2}`` as an
+    N x N CSR array with the sparsity pattern of ``A`` plus the diagonal.
 
-    Degrees at or below 1e-14 use the convention ``0^{-1/2} := 0`` and the
-    corresponding diagonal entry is set to 0, so an isolated node contributes
-    a zero row and hence an exact zero eigenvalue (its own connected
-    component, matching the component-count reading of the spectrum).
+    ``A`` may be dense or sparse.  Degrees at or below 1e-14 use the
+    convention ``0^{-1/2} := 0`` and the corresponding diagonal entry is 0,
+    so an isolated node contributes a zero row and hence an exact zero
+    eigenvalue (its own connected component, matching the component-count
+    reading of the spectrum).  Each off-diagonal entry is
+    ``-(A_ij * (d_i^{-1/2} d_j^{-1/2}))``, so ``L`` is exactly symmetric
+    whenever ``A`` is.
     """
-    A = np.asarray(A, dtype=float)
+    A = sparse.csr_array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
+    N = A.shape[0]
     deg = A.sum(axis=1)
     pos = deg > DEGREE_TOL
-    inv_sqrt = np.zeros(A.shape[0])
+    inv_sqrt = np.zeros(N)
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    # Outer product keeps the scaled matrix exactly symmetric in floating point.
-    L = -(A * np.multiply.outer(inv_sqrt, inv_sqrt))
-    np.fill_diagonal(L, np.where(pos, 1.0, 0.0))
-    return L
+    coo = A.tocoo()
+    off = coo.row != coo.col
+    rows, cols = coo.row[off], coo.col[off]
+    values = -(coo.data[off] * (inv_sqrt[rows] * inv_sqrt[cols]))
+    diag = np.flatnonzero(pos)
+    return sparse.csr_array(
+        (
+            np.concatenate((values, np.ones(diag.size))),
+            (np.concatenate((rows, diag)), np.concatenate((cols, diag))),
+        ),
+        shape=(N, N),
+    )
 
 
 def estimate_L_eigengap(eigenvalues: np.ndarray, max_L: int | None = None) -> tuple[int, int]:
@@ -266,13 +337,14 @@ def _cluster_embedding(
 
 
 def spectral_cluster(
-    L_sym: np.ndarray,
+    L_sym,
     L_hat: int,
     seed: int = 0,
     restarts: int = 10,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Normalized spectral clustering of a Laplacian into ``L_hat`` groups.
+    """Normalized spectral clustering of a Laplacian (dense or sparse) into
+    ``L_hat`` groups.
 
     Takes the eigenvectors of the ``L_hat`` smallest eigenvalues as an
     ``N x L_hat`` embedding, normalizes each row to unit norm (rows with norm

@@ -66,6 +66,18 @@ class TestClusterCommand:
         proc = run_cli("cluster", tmp_path / "nope.csv", "--q", 3)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    def test_non_finite_input_exits_3(self, tmp_path, orthogonal_fixture, variant):
+        lines = orthogonal_fixture.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[3] = "nan"
+        lines[7] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_cli("cluster", bad, "--q", 5, "--L", 3, "--variant", variant)
+        assert proc.returncode == 3, proc.stderr
+        assert "NaN or Inf" in proc.stderr
+
     def test_edges_output(self, tmp_path, orthogonal_fixture):
         edges = tmp_path / "edges.csv"
         proc = run_cli(

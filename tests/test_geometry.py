@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsclust.errors import InvalidDims, NonOrthonormalBasis, ZeroVector
+from tsclust.errors import InvalidDims, NonFinite, NonOrthonormalBasis, ZeroVector
 from tsclust.geometry import (
     PointSet,
     SubspaceBasis,
@@ -41,6 +41,35 @@ class TestNormalizeColumns:
         rng = np.random.default_rng(3)
         ps = normalize_columns(PointSet(rng.standard_normal((7, 20)) * 10))
         assert np.max(np.abs(np.linalg.norm(ps.data, axis=0) - 1.0)) < 1e-12
+
+    def test_overflowing_columns_rescaled_others_bit_identical(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 12))
+        scaled = X.copy()
+        scaled[:, [2, 7]] *= 1e200
+        scaled[:, 9] *= 1e-6
+        with np.errstate(over="raise"):
+            out = normalize_columns(PointSet(scaled)).data
+        plain = normalize_columns(PointSet(X)).data
+        others = [j for j in range(12) if j not in (2, 7, 9)]
+        np.testing.assert_array_equal(out[:, others], plain[:, others])
+        np.testing.assert_allclose(out, plain, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) < 1e-15
+
+
+class TestPointSetValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.ones((3, 4))
+        X[1, 2] = bad
+        with pytest.raises(NonFinite):
+            PointSet(X)
+
+    def test_non_finite_csv_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x1,x2\n1.0,2.0\nnan,1.0\n")
+        with pytest.raises(NonFinite):
+            PointSet.from_csv(path)
 
 
 class TestSphericalPseudoDistance:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsclust.errors import ConfigError, QTooLarge, TooFewPoints
+from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
 from tsclust.numerics import sym_eig
@@ -99,7 +99,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(5)
         ps = normalize_columns(PointSet(rng.standard_normal((10, 25))))
         sets = select_neighbors(ps, 4)
-        Z = compute_weights(ps, sets, weight_variant="ls")
+        Z = compute_weights(ps, sets, weight_variant="ls").toarray()
         for j, idx in enumerate(sets):
             support = set(np.flatnonzero(Z[:, j]).tolist())
             assert support == set(idx.tolist())
@@ -115,12 +115,12 @@ class TestAssembleAdjacency:
     def test_single_directed_edge(self):
         Z = np.array([[0.0, 0.0], [0.7, 0.0]])
         graph = assemble_adjacency(Z)
-        np.testing.assert_array_equal(graph.A, [[0.0, 0.7], [0.7, 0.0]])
+        np.testing.assert_array_equal(graph.A.toarray(), [[0.0, 0.7], [0.7, 0.0]])
 
     def test_symmetric_input_doubles(self):
         S = np.array([[0.0, 0.3], [0.3, 0.0]])
         graph = assemble_adjacency(S)
-        np.testing.assert_array_equal(graph.A, 2 * S)
+        np.testing.assert_array_equal(graph.A.toarray(), 2 * S)
 
     def test_block_structure_preserved(self):
         Z = np.zeros((4, 4))
@@ -144,7 +144,7 @@ class TestNormalizedLaplacian:
     def test_single_edge_independent_of_weight(self, w):
         A = np.array([[0.0, w], [w, 0.0]])
         L = normalized_laplacian(A)
-        np.testing.assert_allclose(L, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(L.toarray(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
         ev = sym_eig(L).eigenvalues
         np.testing.assert_allclose(ev, [0.0, 2.0], atol=1e-12)
 
@@ -157,7 +157,7 @@ class TestNormalizedLaplacian:
         # Zero adjacency: every node is its own component, the conventioned
         # matrix is all-zero, so the spectrum is N exact zeros.
         L = normalized_laplacian(np.zeros((4, 4)))
-        np.testing.assert_array_equal(L, np.zeros((4, 4)))
+        np.testing.assert_array_equal(L.toarray(), np.zeros((4, 4)))
         ev = sym_eig(L).eigenvalues
         np.testing.assert_array_equal(ev, np.zeros(4))
 
@@ -167,7 +167,7 @@ class TestNormalizedLaplacian:
         np.fill_diagonal(Z, 0.0)
         A = Z + Z.T
         L = normalized_laplacian(A)
-        np.testing.assert_array_equal(L, L.T)
+        np.testing.assert_array_equal(L.toarray(), L.T.toarray())
 
 
 class TestEstimateEigengap:
@@ -243,7 +243,7 @@ class TestRunTsc:
         rng = np.random.default_rng(12)
         ps = PointSet(rng.standard_normal((8, 40)))
         result = run_tsc(ps, TscConfig(q=6, num_subspaces=2))
-        A = result.graph.A
+        A = result.graph.A.toarray()
         np.testing.assert_array_equal(A, A.T)
         np.testing.assert_array_equal(np.diag(A), np.zeros(40))
         # Every node has at least q positive incident weights (exp variant
@@ -272,7 +272,7 @@ class TestRunTsc:
         b = run_tsc(PointSet(X * 4.0), config)
         for sa, sb in zip(a.graph.neighbor_sets, b.graph.neighbor_sets):
             np.testing.assert_array_equal(sa, sb)
-        np.testing.assert_array_equal(a.graph.Z, b.graph.Z)
+        np.testing.assert_array_equal(a.graph.Z.toarray(), b.graph.Z.toarray())
         np.testing.assert_array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("variant", ["exp", "ls"])
@@ -308,7 +308,30 @@ class TestRunTsc:
         ps = PointSet(rng.standard_normal((12, 30)))
         result = run_tsc(ps, TscConfig(q=5, weight_variant="ls", num_subspaces=2))
         for j, idx in enumerate(result.graph.neighbor_sets):
-            assert set(np.flatnonzero(result.graph.Z[:, j])) == set(idx.tolist())
+            assert set(np.flatnonzero(result.graph.Z.toarray()[:, j])) == set(idx.tolist())
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_non_finite(self, variant, bad):
+        # Both variants fail alike, at the point set, before any stage runs.
+        bases = orthogonal_ensemble(30, 3, 5, seed=10)
+        X = union_of_subspaces(bases, 50, seed=11).points.data.copy()
+        X[4, 17] = bad
+        with pytest.raises(NonFinite):
+            run_tsc(PointSet(X), TscConfig(q=5, weight_variant=variant))
+
+    def test_overflowing_scale_keeps_clustering(self):
+        # At 1e200 the plain column norms overflow to inf.
+        bases = orthogonal_ensemble(30, 3, 5, seed=10)
+        gt = union_of_subspaces(bases, 50, seed=11)
+        config = TscConfig(q=5)
+        plain = run_tsc(gt.points, config)
+        scaled = run_tsc(PointSet(gt.points.data * 1e200), config)
+        assert plain.L_hat == scaled.L_hat == 3
+        np.testing.assert_array_equal(scaled.labels, plain.labels)
+        assert clustering_error(gt.points.labels, scaled.labels) == 0.0
 
 
 class TestDefaultQ:
