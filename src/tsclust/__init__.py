@@ -43,7 +43,6 @@ from .ingest import (
     write_idx,
 )
 from .metrics import (
-    MetricReport,
     clustering_error,
     el_error,
     feature_detection_error,

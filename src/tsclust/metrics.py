@@ -5,8 +5,6 @@ matrix, and outlier-detection confusion rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
@@ -15,16 +13,6 @@ from .errors import LengthMismatch
 
 #: Adjacency columns with norm at or below this contribute ratio 0 to the FDE.
 FDE_NORM_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of the per-run metrics."""
-
-    ce: float
-    el: int
-    fde: float
-    outlier_misclassification: float | None = None
 
 
 def clustering_error(true_labels, est_labels) -> float:

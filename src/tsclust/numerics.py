@@ -1,8 +1,11 @@
 """Numeric primitives: symmetric eigendecomposition (one connected component
-of the sparsity pattern at a time), minimum-norm least squares, seeded
-k-means, and sub-stream seed derivation.
+of the sparsity pattern at a time, eigenvalues first and eigenvectors on
+demand), minimum-norm least squares, seeded k-means, and sub-stream seed
+derivation.
 
-The eigendecomposition and SVD are delegated to LAPACK (via numpy); the
+The eigendecomposition and SVD are delegated to LAPACK (via scipy and
+numpy): each component is reduced to tridiagonal form once, which gives the
+whole spectrum and, later, any number of its smallest eigenvectors.  The
 contracts here are the reconstruction/optimality invariants, not the
 algorithm.  k-means is implemented directly so that seeding, restart
 sub-streams, and tie-breaking are fully pinned down.
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidK, NonFinite
@@ -46,15 +50,78 @@ def derive_seed(seed: int, index: int) -> int:
     return _splitmix64(inner)
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a ``scipy.linalg.lapack`` routine and check its ``info``."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+    return out
+
+
+@dataclass(frozen=True)
+class _Component:
+    """One connected component of a symmetric matrix, reduced by ``dsytrd``
+    (lower) to the tridiagonal ``T = Q^T M Q`` with diagonal ``d`` and
+    off-diagonal ``e``.  ``Q`` is kept as Householder reflectors below the
+    subdiagonal of ``reflectors`` with scales ``tau``.  ``nodes`` are the
+    component's global indices, ascending; ``columns`` the global position of
+    each of its eigenvalues, ascending with them."""
+
+    nodes: np.ndarray
+    columns: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+
+    def smallest(self, k: int) -> np.ndarray:
+        """The eigenvectors of the block's k smallest eigenvalues (n x k)."""
+        if self.d.size == 1:
+            return np.ones((1, 1))
+        _, V = eigh_tridiagonal(
+            self.d, self.e, select="i", select_range=(0, k - 1), lapack_driver="stemr"
+        )
+        # Q V, as LAPACK's dormtr does it for UPLO='L': the reflectors act on
+        # rows 1..n-1 only.
+        a = self.reflectors[1:, :-1]
+        _, work = _lapack("dormqr", "L", "N", a, self.tau, V[1:], -1)
+        V[1:] = _lapack("dormqr", "L", "N", a, self.tau, V[1:], int(work[0]))[0]
+        return V
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+    """Spectrum of a symmetric matrix, eigenvalues ascending, with the
+    eigenvectors computed on demand from each component's tridiagonal form.
 
-    Column ``i`` of ``eigenvectors`` pairs with ``eigenvalues[i]``.
+    ``leading(k)`` holds the eigenvectors of ``eigenvalues[:k]``, column
+    ``i`` paired with ``eigenvalues[i]``; ``eigenvectors`` is ``leading(N)``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    components: tuple[_Component, ...]
+
+    def leading(self, k: int) -> np.ndarray:
+        """N x k matrix of the eigenvectors of the k smallest eigenvalues.
+
+        Each component computes only the columns it owns among the first k;
+        eigenvector ``i`` is supported on the component of eigenvalue ``i``.
+        """
+        N = self.eigenvalues.size
+        if not 0 <= k <= N:
+            raise ValueError(f"k={k} outside [0, {N}]")
+        V = np.zeros((N, k))
+        for block in self.components:
+            owned = int(np.count_nonzero(block.columns < k))
+            if owned:
+                V[np.ix_(block.nodes, block.columns[:owned])] = block.smallest(owned)
+        return V
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """All N eigenvectors as an N x N matrix, column ``i`` paired with
+        ``eigenvalues[i]``."""
+        return self.leading(self.eigenvalues.size)
 
 
 @dataclass(frozen=True)
@@ -73,24 +140,27 @@ class KMeansResult:
 
 
 def sym_eig(A) -> SpectralDecomposition:
-    """Complete eigendecomposition of a (numerically) symmetric real matrix,
-    dense or sparse.
+    """Complete spectrum of a (numerically) symmetric real matrix, dense or
+    sparse, with its eigenvectors available on demand.
 
     The input is symmetrized as ``(A + A^T) / 2`` before factorization, so
     floating-point asymmetry up to the caller's tolerance is absorbed.  The
     symmetrized matrix is split into the connected components of its
-    nonzero pattern (a block-diagonal matrix up to a permutation) and each
-    block is solved with dense ``eigh``; the spectrum is therefore exact and
-    complete, and a connected matrix is the one-block case.  The N
-    eigenvalues come out ascending, ties in component order (components
-    numbered by their lowest index), and eigenvector ``i`` is supported on
-    the component of eigenvalue ``i``.  Only the N x N eigenvector matrix is
-    dense; each block is densified on its own.
+    nonzero pattern (a block-diagonal matrix up to a permutation).  Each
+    block is densified on its own and reduced once to tridiagonal form
+    (LAPACK ``dsytrd``), and ``dsterf`` gives all its eigenvalues; the
+    spectrum is therefore exact and complete, and a connected matrix is the
+    one-block case.  The N eigenvalues come out ascending, ties in component
+    order (components numbered by their lowest index).  No eigenvector is
+    computed here: :meth:`SpectralDecomposition.leading` computes the ones
+    it is asked for from the kept reductions.
 
     Raises
     ------
     NonFinite
         If ``A`` contains NaN or Inf.
+    numpy.linalg.LinAlgError
+        If a LAPACK routine reports failure.
     """
     A = sparse.csr_array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -105,15 +175,26 @@ def sym_eig(A) -> SpectralDecomposition:
     bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=count))))
     permuted = sym[nodes][:, nodes]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    solved = [np.linalg.eigh(permuted[lo:hi, lo:hi].toarray()) for lo, hi in spans]
-    values = np.concatenate([w for w, _ in solved])
+    reductions, values = [], []
+    for lo, hi in spans:
+        n = int(hi - lo)
+        (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
+        c, d, e, tau = _lapack(
+            "dsytrd", permuted[lo:hi, lo:hi].toarray(order="F"),
+            lower=1, lwork=max(1, int(lwork)), overwrite_a=1,
+        )
+        reductions.append((c, tau, d, e))
+        # dsterf needs n - 1 >= 1 off-diagonal entries; a 1 x 1 block is its value.
+        values.append(_lapack("dsterf", d, e)[0] if n > 1 else d.copy())
+    values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    eigenvectors = np.zeros((order.size, order.size))
-    for (lo, hi), (_, V) in zip(spans, solved):
-        eigenvectors[np.ix_(nodes[lo:hi], column[lo:hi])] = V
-    return SpectralDecomposition(eigenvalues=values[order], eigenvectors=eigenvectors)
+    components = tuple(
+        _Component(nodes[lo:hi], column[lo:hi], *reduction)
+        for (lo, hi), reduction in zip(spans, reductions)
+    )
+    return SpectralDecomposition(eigenvalues=values[order], components=components)
 
 
 def least_squares(B: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -175,7 +256,11 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iter: int):
     history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
-        dists = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        # One centroid at a time: an (n, k, p) difference tensor would not fit
+        # in memory for large k.
+        dists = np.empty((n, k))
+        for c in range(k):
+            dists[:, c] = np.sum((rows - centroids[c]) ** 2, axis=1)
         new_labels = np.argmin(dists, axis=1)
         point_d2 = dists[np.arange(n), new_labels]
         for c in range(k):

@@ -100,7 +100,8 @@ class ClusterResult:
     of the graph at a time, see :func:`tsclust.numerics.sym_eig`), the gap
     index when the count was estimated, and the neighbor graph the
     clustering was computed from (sparse ``Z`` and ``A``, see
-    :class:`NeighborGraph`)."""
+    :class:`NeighborGraph`).  Only the ``L_hat`` eigenvectors the clustering
+    used were computed; none is kept."""
 
     labels: np.ndarray
     L_hat: int
@@ -140,11 +141,22 @@ def _correlation_blocks(X: np.ndarray, normalize: bool):
     both column norms, clamped to [0, 1].
 
     Neighbor selection and the ``exp`` weights both read their correlations
-    from here, so the two agree bit for bit.
+    from here, so the two agree bit for bit.  With ``normalize``, a column
+    whose plain norm overflows (entries near 1e154 and beyond) is first
+    scaled by a power of two that brings its largest entry into [0.5, 1),
+    which leaves its correlations unchanged; every other column is used as
+    given.
     """
     N = X.shape[1]
     if normalize:
-        norms = np.linalg.norm(X, axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=0)
+        huge = ~np.isfinite(norms)
+        if huge.any():
+            shift = np.zeros(N, dtype=int)
+            shift[huge] = -np.frexp(np.abs(X[:, huge]).max(axis=0))[1]
+            X = np.ldexp(X, shift)
+            norms = np.linalg.norm(X, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
     for start in range(0, N, CORRELATION_BLOCK):
         stop = min(start + CORRELATION_BLOCK, N)
@@ -326,8 +338,9 @@ def _cluster_embedding(
     restarts: int,
     max_iter: int,
 ) -> np.ndarray:
-    """Row-normalize the L_hat smallest eigenvectors and k-means them."""
-    E = decomposition.eigenvectors[:, :L_hat].copy()
+    """Row-normalize the L_hat smallest eigenvectors (the only ones
+    computed) and k-means them."""
+    E = decomposition.leading(L_hat)
     norms = np.linalg.norm(E, axis=1)
     keep = norms > ROW_NORM_TOL
     E[keep] /= norms[keep, None]

@@ -1,8 +1,39 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tsclust.errors import InvalidK, NonFinite
-from tsclust.numerics import derive_seed, kmeans, least_squares, sym_eig
+from tsclust.numerics import _kmeans_pp_init, _lloyd, derive_seed, kmeans, least_squares, sym_eig
+
+
+def tensor_lloyd(rows, centroids, max_iter):
+    """Lloyd iterations with all distances from one (n, k, p) tensor."""
+    n = rows.shape[0]
+    k = centroids.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    history = []
+    iterations = 0
+    for _ in range(max_iter):
+        dists = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        point_d2 = dists[np.arange(n), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(point_d2))
+                new_labels[far] = c
+                point_d2[far] = 0.0
+        history.append(float(point_d2.sum()))
+        iterations += 1
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = rows[labels == c]
+            if members.size:
+                centroids[c] = members.mean(axis=0)
+    inertia = float(np.sum((rows - centroids[labels]) ** 2))
+    return labels, centroids, inertia, iterations, tuple(history)
 
 
 class TestDeriveSeed:
@@ -145,3 +176,27 @@ class TestKMeans:
         rows = np.zeros((10, 2))
         with pytest.raises(InvalidK):
             kmeans(rows, k, seed=0)
+
+    @pytest.mark.parametrize("n,k,p", [(100, 3, 5), (500, 20, 7), (300, 40, 30), (37, 37, 2)])
+    def test_matches_distance_tensor_reference(self, n, k, p):
+        rng = np.random.default_rng(n + k + p)
+        rows = rng.standard_normal((n, p))
+        rows[: n // 4] = rows[0]  # duplicates leave clusters empty
+        init = _kmeans_pp_init(rows, k, np.random.default_rng(3))
+        got = _lloyd(rows, init.copy(), 100)
+        expected = tensor_lloyd(rows, init.copy(), 100)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[2:] == expected[2:]
+
+    def test_memory_independent_of_n_k_p(self):
+        # An (n, k, p) float64 distance tensor would take 640 MB here.
+        n, k, p = 2000, 200, 200
+        rows = np.random.default_rng(12).standard_normal((n, p))
+        tracemalloc.start()
+        try:
+            kmeans(rows, k, seed=0, restarts=1, max_iter=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * p * 8 / 16

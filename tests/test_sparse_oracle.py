@@ -1,11 +1,14 @@
 """The sparse pipeline against dense oracles.
 
 ``sym_eig`` splits its input into connected components and solves each
-block on its own; it is checked against one dense ``np.linalg.eigh`` of the
-whole matrix.  ``run_tsc`` is checked against a dense reference of the
-pipeline kept here: an N x N Gram matrix, a stable argsort for the
-neighbors, dense Z, A and Laplacian, and one ``eigh``.
+block on its own; it and ``SpectralDecomposition.leading`` are checked
+against one dense ``np.linalg.eigh`` of the whole matrix.  ``run_tsc`` is
+checked against a dense reference of the pipeline kept here: an N x N Gram
+matrix, a stable argsort for the neighbors, dense Z, A and Laplacian, and
+one ``eigh``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +161,87 @@ class TestSymEigOracle:
         M = np.array([[1.0, 0.3, 0.0], [-0.3, 2.0, 0.0], [0.0, 0.0, 3.0]])
         dec = assert_same_spectrum(M)
         np.testing.assert_array_equal(dec.eigenvalues, [1.0, 2.0, 3.0])
+
+
+def tied_components_matrix():
+    """Singletons and a 2-node block sharing the eigenvalue 2 exactly, next
+    to a random 6-node block, all at scattered indices."""
+    rng = np.random.default_rng(5)
+    M = np.zeros((10, 10))
+    M[0, 0] = M[5, 5] = 2.0
+    M[np.ix_([2, 7], [2, 7])] = [[1.5, 0.5], [0.5, 1.5]]
+    block = rng.uniform(0.5, 1.5, size=(6, 6))
+    M[np.ix_([1, 3, 4, 6, 8, 9], [1, 3, 4, 6, 8, 9])] = (block + block.T) / 2.0
+    return M
+
+
+class TestLeadingOracle:
+    """``leading(k)`` against dense ``eigh``, k in {1, L, N} with L the
+    number of components."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("laplacian", [False, True])
+    def test_permuted_blocks(self, seed, laplacian):
+        # Laplacian singletons and 2-node blocks tie exactly at 0 and 2.
+        self._check(permuted_block_matrix([1, 2, 7, 1, 2, 12, 3, 1, 2], seed, laplacian))
+
+    def test_tied_components(self):
+        M = tied_components_matrix()
+        assert np.count_nonzero(sym_eig(M).eigenvalues == 2.0) == 3
+        self._check(M)
+
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            sym_eig(tied_components_matrix()).leading(k)
+
+    @staticmethod
+    def _check(M):
+        dense = np.asarray(M.toarray() if sparse.issparse(M) else M, dtype=float)
+        w_ref, V_ref = np.linalg.eigh((dense + dense.T) / 2.0)
+        N = w_ref.size
+        count, component = connected_components(sparse.csr_array(dense), directed=False)
+        dec = sym_eig(M)
+        full = dec.eigenvectors
+        assert full.shape == (N, N)
+        splits = np.flatnonzero(np.diff(w_ref) > CLUSTER_TOL) + 1
+        for k in sorted({1, count, N}):
+            V = dec.leading(k)
+            assert V.shape == (N, k)
+            assert np.max(np.abs(V.T @ V - np.eye(k))) < 1e-12
+            for cols in np.split(np.arange(N), splits):
+                inside = cols[cols < k]
+                if inside.size == 0:
+                    continue
+                P_ref = V_ref[:, cols] @ V_ref[:, cols].T
+                if inside.size == cols.size:
+                    P = V[:, cols] @ V[:, cols].T
+                    assert np.max(np.abs(P - P_ref)) < 1e-12
+                else:
+                    # k cuts through the eigenspace: the kept columns lie in it.
+                    assert np.max(np.abs(P_ref @ V[:, inside] - V[:, inside])) < 1e-12
+            # Each eigenvector lives on one component.
+            for i in range(k):
+                assert np.unique(component[V[:, i] != 0.0]).size == 1
+            signs = np.where(np.sum(V * full[:, :k], axis=0) < 0.0, -1.0, 1.0)
+            np.testing.assert_allclose(V * signs, full[:, :k], rtol=0.0, atol=1e-12)
+
+
+class TestRunTscMemory:
+    def test_peak_below_half_a_dense_matrix(self):
+        # Five 5-dim subspaces of 400 points in R^100.  Only the correlation
+        # blocks, the per-component reductions and the N x L_hat embedding
+        # are dense; one N x N float64 array would be N^2 * 8 bytes.
+        gt = union_of_subspaces(orthogonal_ensemble(100, 5, 5, seed=3), 400, seed=4)
+        N = gt.points.N
+        tracemalloc.start()
+        try:
+            result = run_tsc(gt.points, TscConfig(q=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.L_hat == 5
+        assert peak < N * N * 8 / 2
 
 
 def disconnected_input(seed, n=40):

@@ -334,6 +334,24 @@ class TestBadInput:
         assert clustering_error(gt.points.labels, scaled.labels) == 0.0
 
 
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_overflowing_columns_in_kernel_keep_neighbors_and_weights(self, every):
+        # Normalizing inside the correlation kernel: at 2^600 the plain norms
+        # of the scaled columns overflow to inf.  Rescaling them by a power
+        # of two gives the unscaled neighbor lists and exp weights bit for bit.
+        gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=1), 50, seed=2)
+        X = gt.points.data.copy()
+        X[:, ::every] *= 2.0**600
+        scaled = PointSet(X)
+        expected = select_neighbors(gt.points, 5)
+        with np.errstate(over="raise", invalid="raise"):
+            got = select_neighbors(scaled, 5)
+            Z = compute_weights(scaled, got)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(Z.toarray(), compute_weights(gt.points, expected).toarray())
+
+
 class TestDefaultQ:
     def test_paper_rule(self):
         assert default_q(200, True) == 10
