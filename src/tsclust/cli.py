@@ -28,13 +28,8 @@ from .experiments import format_cell, load_spec_file, run_experiment, write_csv
 from .geometry import PointSet
 from .ingest import load_idx, remove_top_principal_components, singular_value_profile
 from .numerics import derive_seed
-from .outliers import NOISELESS_C, NOISY_C, detect_outliers
-from .synth import (
-    haar_basis,
-    intersecting_pair,
-    shared_intersection_ensemble,
-    union_of_subspaces,
-)
+from .outliers import detect_outliers, threshold_constant
+from .synth import haar_ensemble, intersecting_pair, shared_intersection_ensemble, union_of_subspaces
 from .tsc import ClusterResult, TscConfig, run_tsc
 
 
@@ -55,17 +50,6 @@ def _parse_L(value: str):
         return int(value)
     except ValueError:
         raise ConfigError(f"--L must be an integer or 'estimate', got {value!r}") from None
-
-
-def _parse_c(value: str) -> float:
-    if value == "noiseless":
-        return NOISELESS_C
-    if value == "noisy":
-        return NOISY_C
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"--c must be 'noiseless', 'noisy', or a number, got {value!r}") from None
 
 
 def _result_json(result: ClusterResult, config: TscConfig) -> dict:
@@ -125,7 +109,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_outliers(args) -> int:
     points = PointSet.from_csv(args.input)
-    report = detect_outliers(points, _parse_c(args.c))
+    report = detect_outliers(points, threshold_constant(args.c))
     out = args.out or str(Path(args.input).with_suffix("")) + ".outliers.csv"
     report.to_csv(out)
     print(
@@ -138,13 +122,10 @@ def _cmd_outliers(args) -> int:
 def _cmd_gen(args) -> int:
     seed = _env_seed(args.seed)
     if args.t is not None:
-        U1, U2 = intersecting_pair(args.m, args.d, args.t, derive_seed(seed, 1))
-        bases = [U1, U2]
-    elif args.shared:
-        bases = shared_intersection_ensemble(args.m, args.L, args.d, derive_seed(seed, 1))
+        bases = list(intersecting_pair(args.m, args.d, args.t, derive_seed(seed, 1)))
     else:
-        root = derive_seed(seed, 1)
-        bases = [haar_basis(args.m, args.d, derive_seed(root, l)) for l in range(args.L)]
+        ensemble = shared_intersection_ensemble if args.shared else haar_ensemble
+        bases = ensemble(args.m, args.L, args.d, derive_seed(seed, 1))
     inlier_scale = 1.0
     if args.inlier_scale == "auto":
         if args.sigma2 > 0:

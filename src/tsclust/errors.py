@@ -6,10 +6,10 @@ class TscError(Exception):
 
 
 class ZeroVector(TscError):
-    """A column that should be normalizable has (near-)zero norm."""
+    """A column that should be normalizable is exactly zero."""
 
     def __init__(self, column: int):
-        super().__init__(f"column {column} has norm <= 1e-14 and cannot be normalized")
+        super().__init__(f"column {column} is zero and cannot be normalized")
         self.column = column
 
 

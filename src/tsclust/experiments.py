@@ -5,6 +5,12 @@ A JSON spec names a scenario and its parameter grid; every grid cell runs
 one CSV row per cell reports the averaged metrics.  Trial execution is pure,
 so results are identical whether trials run serially or in a process pool.
 
+Each scenario is defined in one :class:`Scenario` record: its spec defaults,
+its sweep axes, the columns of its CSV row, its trial and its parameter
+check.  A cell fills its axis values into the spec, and the trial and the
+check both read that filled spec, so ``grid``, ``noise-grid`` and
+``huge-noise`` share one trial and one check.
+
 Scenarios
 ---------
 ``intersect``   two subspaces sharing a ``t``-dimensional intersection,
@@ -14,7 +20,8 @@ Scenarios
 ``noise-grid``  random subspaces under additive noise, swept over
                 (sigma2, d, n).
 ``huge-noise``  low-dimensional subspaces in a large ambient dimension under
-                heavy noise, swept over (sigma2, n).
+                heavy noise, swept over (sigma2, n); ``s``, ``ensemble`` and
+                ``noise_first`` apply as in ``grid``.
 ``outliers``    inliers on random subspaces plus structure-free outliers,
                 swept over the ambient dimension; scores the detection rule.
 ``mnist``       handwritten-digit clustering on an IDX dataset, swept over
@@ -24,29 +31,30 @@ Scenarios
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
+from .geometry import PointSet
 from .ingest import load_idx, subsample_digits
 from .metrics import clustering_error, el_error, feature_detection_error, outlier_confusion
 from .numerics import derive_seed
-from .outliers import NOISELESS_C, NOISY_C, detect_outliers
+from .outliers import detect_outliers, threshold_constant
 from .synth import (
-    haar_basis,
+    haar_ensemble,
     intersecting_pair,
     shared_intersection_ensemble,
     union_of_subspaces,
 )
 from .tsc import TscConfig, default_q, run_tsc
-
-SCENARIOS = ("intersect", "grid", "noise-grid", "huge-noise", "outliers", "mnist")
 
 
 @dataclass(frozen=True)
@@ -85,31 +93,6 @@ class ExperimentSpec:
     center: bool = False
 
 
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "intersect": dict(m=200, d=10, n=200, L=2, L_known=False),
-    "grid": dict(
-        m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200)
-    ),
-    "noise-grid": dict(
-        m=50, L=10, L_known=True, d_values=(5,), n_values=(100,),
-        sigma2_values=(0.0, 0.1, 0.2, 0.3),
-    ),
-    "huge-noise": dict(
-        m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0)
-    ),
-    "outliers": dict(d=5, n=50, m_values=(50, 100, 200), L_known=True),
-    "mnist": dict(L_known=True, n_values=(100,)),
-}
-
-_ROW_HEADERS: dict[str, list[str]] = {
-    "intersect": ["t", "fde_mean", "ce_mean", "ce_std", "el_mean"],
-    "grid": ["d", "n", "s", "fde_mean", "ce_mean", "ce_std", "el_mean"],
-    "noise-grid": ["sigma2", "d", "n", "fde_mean", "ce_mean", "ce_std", "el_mean"],
-    "huge-noise": ["sigma2", "n", "fde_mean", "ce_mean", "ce_std", "el_mean"],
-    "outliers": ["m", "misclassification_error", "misclassification_std", "fn_mean", "fp_mean"],
-    "mnist": ["n", "ce_mean", "ce_std"],
-}
-
 _FIELD_NAMES = {f.name for f in fields(ExperimentSpec)}
 _TUPLE_FIELDS = {"t_values", "d_values", "n_values", "sigma2_values", "m_values", "digits"}
 
@@ -121,7 +104,8 @@ def load_spec(raw: dict) -> ExperimentSpec:
     Raises
     ------
     ConfigError
-        On unknown keys, unknown scenarios, or infeasible dimensions.
+        On unknown keys, unknown scenarios, an empty sweep axis, or a cell
+        the scenario cannot run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
         raise ConfigError("experiment spec must be a JSON object")
@@ -131,11 +115,14 @@ def load_spec(raw: dict) -> ExperimentSpec:
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    merged = dict(_SCENARIO_DEFAULTS[scenario])
+    merged = dict(_SCENARIOS[scenario].defaults)
     merged.update({k: v for k, v in raw.items() if k != "scenario"})
     for key in _TUPLE_FIELDS & set(merged):
         if merged[key] is not None:
-            merged[key] = tuple(merged[key])
+            try:
+                merged[key] = tuple(merged[key])
+            except TypeError:
+                raise ConfigError(f"{key} must be a list, got {merged[key]!r}") from None
     spec = ExperimentSpec(scenario=scenario, **merged)
     if spec.scenario == "intersect" and spec.t_values is None:
         spec = replace(spec, t_values=tuple(range(spec.d + 1)))
@@ -159,103 +146,82 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ConfigError(f"variant must be 'exp' or 'ls', got {spec.variant!r}")
     if spec.q is not None and spec.q < 1:
         raise ConfigError(f"q must be >= 1, got {spec.q}")
-    if spec.sigma2 < 0:
-        raise ConfigError(f"sigma2 must be >= 0, got {spec.sigma2}")
-    sc = spec.scenario
-    if sc == "intersect":
-        if spec.d > spec.m:
-            raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
-        for t in spec.t_values:
-            if not 0 <= t <= spec.d:
-                raise ConfigError(f"t values must lie in [0, d], got {t}")
-            if 2 * spec.d - t > spec.m:
-                raise ConfigError(f"need 2d - t <= m, got t={t}")
-    elif sc in ("grid", "noise-grid"):
-        if spec.ensemble not in ("haar", "shared"):
-            raise ConfigError(f"ensemble must be 'haar' or 'shared', got {spec.ensemble!r}")
-        for d in spec.d_values:
-            if d > spec.m:
-                raise ConfigError(f"need d <= m, got d={d}, m={spec.m}")
-            if spec.ensemble == "shared" and d % 3 != 0:
-                raise ConfigError(f"shared ensemble needs d divisible by 3, got {d}")
-        if not 0 <= spec.s < spec.m:
-            raise ConfigError(f"need 0 <= s < m, got s={spec.s}")
-    elif sc == "huge-noise":
-        if spec.d > spec.m:
-            raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
-    elif sc == "outliers":
-        for m in spec.m_values:
-            if 2 * m % spec.d != 0:
-                raise ConfigError(f"2m must be divisible by d, got m={m}, d={spec.d}")
-            if spec.d > m:
-                raise ConfigError(f"need d <= m, got d={spec.d}, m={m}")
-        if spec.c is not None and not isinstance(spec.c, str) and float(spec.c) <= 0:
-            raise ConfigError("c must be positive")
-    elif sc == "mnist":
-        if not spec.images or not spec.labels:
-            raise ConfigError("mnist scenario needs 'images' and 'labels' paths")
-        if len(spec.digits) < 2:
-            raise ConfigError("mnist scenario needs at least two digits")
+    try:
+        cells = _cells(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"every sweep axis must list numbers ({exc})") from None
+    if not cells:
+        raise ConfigError("every sweep axis must list at least one value")
+    for cell in cells:
+        filled = _filled(spec, cell)
+        if filled.sigma2 < 0:
+            raise ConfigError(f"sigma2 must be >= 0, got {filled.sigma2}")
+        _SCENARIOS[spec.scenario].check(filled, cell)
 
 
 def _cells(spec: ExperimentSpec) -> list[dict]:
-    sc = spec.scenario
-    if sc == "intersect":
-        return [{"t": int(t)} for t in spec.t_values]
-    if sc == "grid":
-        return [{"d": int(d), "n": int(n)} for d in spec.d_values for n in spec.n_values]
-    if sc == "noise-grid":
-        return [
-            {"sigma2": float(s2), "d": int(d), "n": int(n)}
-            for s2 in spec.sigma2_values
-            for d in spec.d_values
-            for n in spec.n_values
-        ]
-    if sc == "huge-noise":
-        return [
-            {"sigma2": float(s2), "n": int(n)}
-            for s2 in spec.sigma2_values
-            for n in spec.n_values
-        ]
-    if sc == "outliers":
-        return [{"m": int(m)} for m in spec.m_values]
-    return [{"n": int(n)} for n in spec.n_values]
+    axes = _SCENARIOS[spec.scenario].axes
+    return [
+        {column: kind(value) for (column, _, kind), value in zip(axes, values)}
+        for values in itertools.product(*(getattr(spec, field) for _, field, _ in axes))
+    ]
 
 
-def _resolve_c(spec: ExperimentSpec) -> float:
-    c = spec.c
-    if c is None:
-        c = "noisy" if spec.sigma2 > 0 else "noiseless"
-    if isinstance(c, str):
-        if c == "noiseless":
-            return NOISELESS_C
-        if c == "noisy":
-            return NOISY_C
-        try:
-            return float(c)
-        except ValueError:
-            raise ConfigError(f"c must be 'noiseless', 'noisy', or a number, got {c!r}") from None
-    return float(c)
+def _filled(spec: ExperimentSpec, cell: dict) -> ExperimentSpec:
+    """The spec with each cell value in its scalar field (``t`` has none)."""
+    return replace(spec, **{k: v for k, v in cell.items() if k in _FIELD_NAMES})
 
 
-def _tsc_config(spec: ExperimentSpec, n: int, L: int, seed: int) -> TscConfig:
-    q = spec.q if spec.q is not None else default_q(n, spec.L_known)
-    return TscConfig(
-        q=q,
+def _check_intersect(spec: ExperimentSpec, cell: dict) -> None:
+    if spec.d > spec.m:
+        raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
+    t = cell["t"]
+    if not 0 <= t <= spec.d:
+        raise ConfigError(f"t values must lie in [0, d], got {t}")
+    if 2 * spec.d - t > spec.m:
+        raise ConfigError(f"need 2d - t <= m, got t={t}")
+
+
+def _check_grid(spec: ExperimentSpec, cell: dict) -> None:
+    if spec.ensemble not in ("haar", "shared"):
+        raise ConfigError(f"ensemble must be 'haar' or 'shared', got {spec.ensemble!r}")
+    if spec.d > spec.m:
+        raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
+    if spec.ensemble == "shared" and spec.d % 3 != 0:
+        raise ConfigError(f"shared ensemble needs d divisible by 3, got {spec.d}")
+    if not 0 <= spec.s < spec.m:
+        raise ConfigError(f"need 0 <= s < m, got s={spec.s}")
+
+
+def _check_outliers(spec: ExperimentSpec, cell: dict) -> None:
+    if not 1 <= spec.d <= spec.m:
+        raise ConfigError(f"need 1 <= d <= m, got d={spec.d}, m={spec.m}")
+    if 2 * spec.m % spec.d != 0:
+        raise ConfigError(f"2m must be divisible by d, got m={spec.m}, d={spec.d}")
+    threshold_constant(spec.c, spec.sigma2 > 0)
+
+
+def _check_mnist(spec: ExperimentSpec, cell: dict) -> None:
+    if not spec.images or not spec.labels:
+        raise ConfigError("mnist scenario needs 'images' and 'labels' paths")
+    if len(spec.digits) < 2:
+        raise ConfigError("mnist scenario needs at least two digits")
+
+
+def _cluster_record(spec: ExperimentSpec, points: PointSet, L_true: int, seed: int) -> dict:
+    """Cluster ``points`` as the spec says and score against their labels."""
+    config = TscConfig(
+        q=spec.q if spec.q is not None else default_q(spec.n, spec.L_known),
         weight_variant=spec.variant,
-        num_subspaces=L if spec.L_known else None,
+        num_subspaces=L_true if spec.L_known else None,
         max_L=spec.max_L,
-        seed=seed,
+        seed=derive_seed(seed, 3),
     )
-
-
-def _cluster_record(spec: ExperimentSpec, gt, L_true: int, n: int, seed: int) -> dict:
-    config = _tsc_config(spec, n, L_true, derive_seed(seed, 3))
-    result = run_tsc(gt.points, config)
+    result = run_tsc(points, config)
     return {
-        "ce": clustering_error(gt.points.labels, result.labels),
+        "ce": clustering_error(points.labels, result.labels),
         "el": el_error(L_true, result.L_hat),
-        "fde": feature_detection_error(result.graph.A, gt.points.labels),
+        "fde": feature_detection_error(result.graph.A, points.labels),
         "l_hat": result.L_hat,
     }
 
@@ -263,50 +229,36 @@ def _cluster_record(spec: ExperimentSpec, gt, L_true: int, n: int, seed: int) ->
 def _trial_intersect(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
     U1, U2 = intersecting_pair(spec.m, spec.d, cell["t"], derive_seed(seed, 1))
     gt = union_of_subspaces([U1, U2], spec.n, derive_seed(seed, 2))
-    return _cluster_record(spec, gt, 2, spec.n, seed)
-
-
-def _make_bases(spec: ExperimentSpec, d: int, seed: int):
-    if spec.ensemble == "shared":
-        return shared_intersection_ensemble(spec.m, spec.L, d, seed)
-    return [haar_basis(spec.m, d, derive_seed(seed, l)) for l in range(spec.L)]
+    return _cluster_record(spec, gt.points, 2, seed)
 
 
 def _trial_grid(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
-    bases = _make_bases(spec, cell["d"], derive_seed(seed, 1))
+    """Shared by ``grid``, ``noise-grid`` and ``huge-noise``."""
+    ensemble = shared_intersection_ensemble if spec.ensemble == "shared" else haar_ensemble
     gt = union_of_subspaces(
-        bases,
-        cell["n"],
-        derive_seed(seed, 2),
-        sigma2=cell.get("sigma2", spec.sigma2),
-        erasures=spec.s,
-        noise_first=spec.noise_first,
-    )
-    return _cluster_record(spec, gt, spec.L, cell["n"], seed)
-
-
-def _trial_huge_noise(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
-    bases = [haar_basis(spec.m, spec.d, derive_seed(derive_seed(seed, 1), l)) for l in range(spec.L)]
-    gt = union_of_subspaces(bases, cell["n"], derive_seed(seed, 2), sigma2=cell["sigma2"])
-    return _cluster_record(spec, gt, spec.L, cell["n"], seed)
-
-
-def _trial_outliers(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
-    m = cell["m"]
-    L = 2 * m // spec.d
-    n_outliers = int(round(spec.outlier_factor * L * spec.n))
-    bases = [haar_basis(m, spec.d, derive_seed(derive_seed(seed, 1), l)) for l in range(L)]
-    noisy = spec.sigma2 > 0
-    gt = union_of_subspaces(
-        bases,
+        ensemble(spec.m, spec.L, spec.d, derive_seed(seed, 1)),
         spec.n,
         derive_seed(seed, 2),
         sigma2=spec.sigma2,
-        n_outliers=n_outliers,
+        erasures=spec.s,
+        noise_first=spec.noise_first,
+    )
+    return _cluster_record(spec, gt.points, spec.L, seed)
+
+
+def _trial_outliers(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
+    L = 2 * spec.m // spec.d
+    noisy = spec.sigma2 > 0
+    gt = union_of_subspaces(
+        haar_ensemble(spec.m, L, spec.d, derive_seed(seed, 1)),
+        spec.n,
+        derive_seed(seed, 2),
+        sigma2=spec.sigma2,
+        n_outliers=int(round(spec.outlier_factor * L * spec.n)),
         outlier_mode="gaussian" if noisy else "sphere",
         inlier_scale=1.0 / math.sqrt(1.0 + spec.sigma2) if noisy else 1.0,
     )
-    report = detect_outliers(gt.points, _resolve_c(spec))
+    report = detect_outliers(gt.points, threshold_constant(spec.c, noisy))
     err, fn, fp = outlier_confusion(report.flags, gt.outlier_mask)
     return {"outlier_err": err, "fn": fn, "fp": fp}
 
@@ -314,35 +266,94 @@ def _trial_outliers(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
 _IDX_CACHE: dict = {}
 
 
-def _idx_cached(images: str, labels: str):
-    key = (images, labels)
-    if key not in _IDX_CACHE:
-        _IDX_CACHE[key] = load_idx(images, labels)
-    return _IDX_CACHE[key]
-
-
 def _trial_mnist(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
-    ds = _idx_cached(spec.images, spec.labels)
-    points = subsample_digits(ds, spec.digits, cell["n"], derive_seed(seed, 2), spec.center)
-    L = len(set(spec.digits))
-    config = _tsc_config(spec, cell["n"], L, derive_seed(seed, 3))
-    result = run_tsc(points, config)
-    return {
-        "ce": clustering_error(points.labels, result.labels),
-        "el": el_error(L, result.L_hat),
-        "fde": feature_detection_error(result.graph.A, points.labels),
-        "l_hat": result.L_hat,
-    }
+    key = (spec.images, spec.labels)
+    if key not in _IDX_CACHE:
+        _IDX_CACHE[key] = load_idx(*key)
+    ds = _IDX_CACHE[key]
+    points = subsample_digits(ds, spec.digits, spec.n, derive_seed(seed, 2), spec.center)
+    return _cluster_record(spec, points, len(set(spec.digits)), seed)
 
 
-_TRIAL_FUNCS = {
-    "intersect": _trial_intersect,
-    "grid": _trial_grid,
-    "noise-grid": _trial_grid,
-    "huge-noise": _trial_huge_noise,
-    "outliers": _trial_outliers,
-    "mnist": _trial_mnist,
+_CLUSTER_SUMMARY = (
+    ("fde_mean", "mean", "fde"),
+    ("ce_mean", "mean", "ce"),
+    ("ce_std", "std", "ce"),
+    ("el_mean", "mean", "el"),
+)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything that defines one scenario.
+
+    ``axes`` are the sweeps as ``(CSV column, spec field, type)``, the first
+    outermost.  A CSV row holds the axis values, the spec fields in
+    ``copied`` and the ``summary`` of the cell's trial records as ``(CSV
+    column, "mean" or "std", record key)``.  ``trial(spec, cell, seed)`` and
+    ``check(spec, cell)`` get the spec with the cell filled in.  They reach
+    the library through module globals, which a tracer may swap.
+    """
+
+    defaults: dict
+    axes: tuple
+    trial: Callable
+    check: Callable
+    copied: tuple = ()
+    summary: tuple = _CLUSTER_SUMMARY
+
+
+_SCENARIOS = {
+    "intersect": Scenario(
+        defaults=dict(m=200, d=10, n=200, L=2, L_known=False),
+        axes=(("t", "t_values", int),),
+        trial=_trial_intersect,
+        check=_check_intersect,
+    ),
+    "grid": Scenario(
+        defaults=dict(m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200)),
+        axes=(("d", "d_values", int), ("n", "n_values", int)),
+        trial=_trial_grid,
+        check=_check_grid,
+        copied=("s",),
+    ),
+    "noise-grid": Scenario(
+        defaults=dict(
+            m=50, L=10, L_known=True, d_values=(5,), n_values=(100,),
+            sigma2_values=(0.0, 0.1, 0.2, 0.3),
+        ),
+        axes=(("sigma2", "sigma2_values", float), ("d", "d_values", int), ("n", "n_values", int)),
+        trial=_trial_grid,
+        check=_check_grid,
+    ),
+    "huge-noise": Scenario(
+        defaults=dict(m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0)),
+        axes=(("sigma2", "sigma2_values", float), ("n", "n_values", int)),
+        trial=_trial_grid,
+        check=_check_grid,
+    ),
+    "outliers": Scenario(
+        defaults=dict(d=5, n=50, m_values=(50, 100, 200), L_known=True),
+        axes=(("m", "m_values", int),),
+        trial=_trial_outliers,
+        check=_check_outliers,
+        summary=(
+            ("misclassification_error", "mean", "outlier_err"),
+            ("misclassification_std", "std", "outlier_err"),
+            ("fn_mean", "mean", "fn"),
+            ("fp_mean", "mean", "fp"),
+        ),
+    ),
+    "mnist": Scenario(
+        defaults=dict(L_known=True, n_values=(100,)),
+        axes=(("n", "n_values", int),),
+        trial=_trial_mnist,
+        check=_check_mnist,
+        summary=(("ce_mean", "mean", "ce"), ("ce_std", "std", "ce")),
+    ),
 }
+
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
@@ -353,7 +364,7 @@ def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> int:
 def _run_trial_task(args):
     spec, cell, seed = args
     start = time.perf_counter()
-    record = _TRIAL_FUNCS[spec.scenario](spec, cell, seed)
+    record = _SCENARIOS[spec.scenario].trial(_filled(spec, cell), cell, seed)
     record["seconds"] = time.perf_counter() - start
     return record
 
@@ -369,26 +380,10 @@ class ExperimentResult:
     manifest: dict
 
 
-def _aggregate(spec: ExperimentSpec, cell: dict, records: list[dict]) -> list:
-    def mean(key):
-        return float(np.mean([r[key] for r in records]))
-
-    def std(key):
-        vals = [r[key] for r in records]
-        return float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-
-    sc = spec.scenario
-    if sc == "intersect":
-        return [cell["t"], mean("fde"), mean("ce"), std("ce"), mean("el")]
-    if sc == "grid":
-        return [cell["d"], cell["n"], spec.s, mean("fde"), mean("ce"), std("ce"), mean("el")]
-    if sc == "noise-grid":
-        return [cell["sigma2"], cell["d"], cell["n"], mean("fde"), mean("ce"), std("ce"), mean("el")]
-    if sc == "huge-noise":
-        return [cell["sigma2"], cell["n"], mean("fde"), mean("ce"), std("ce"), mean("el")]
-    if sc == "outliers":
-        return [cell["m"], mean("outlier_err"), std("outlier_err"), mean("fn"), mean("fp")]
-    return [cell["n"], mean("ce"), std("ce")]
+def _summarize(how: str, values: list) -> float:
+    if how == "mean":
+        return float(np.mean(values))
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
@@ -399,6 +394,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    scenario = _SCENARIOS[spec.scenario]
     cells = _cells(spec)
     tasks = [
         (spec, cell, trial_seed(spec.seed, ci, ti))
@@ -411,11 +407,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_trial_task, tasks, chunksize=1))
 
-    param_keys = list(cells[0].keys())
+    param_keys = [axis[0] for axis in scenario.axes]
     rows, trial_rows, manifest_cells = [], [], []
     for ci, cell in enumerate(cells):
         cell_records = records[ci * spec.trials:(ci + 1) * spec.trials]
-        rows.append(_aggregate(spec, cell, cell_records))
+        rows.append(
+            [cell[k] for k in param_keys]
+            + [getattr(spec, field) for field in scenario.copied]
+            + [_summarize(how, [r[key] for r in cell_records]) for _, how, key in scenario.summary]
+        )
         for ti, rec in enumerate(cell_records):
             trial_rows.append(
                 [spec.scenario, ti, trial_seed(spec.seed, ci, ti)]
@@ -437,7 +437,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         "cells": manifest_cells,
     }
     return ExperimentResult(
-        header=_ROW_HEADERS[spec.scenario],
+        header=param_keys + list(scenario.copied) + [c for c, _, _ in scenario.summary],
         rows=rows,
         trial_header=["scenario", "trial", "seed", "ce", "el", "fde", "outlier_err"] + param_keys,
         trial_rows=trial_rows,

@@ -3,7 +3,8 @@
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
 ``R^m``.  Two subspaces are compared through the singular values of the
 product of their orthonormal bases, which are the cosines of the principal
-angles between them.
+angles between them.  Whatever divides by column norms first rescales the
+columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .errors import InvalidDims, LengthMismatch, NonFinite, NonOrthonormalBasis,
 
 #: Max-entry deviation of U^T U from the identity beyond which a basis is rejected.
 ORTHONORMALITY_TOL = 1e-8
-
-#: Column norms at or below this are treated as zero vectors.
-ZERO_NORM_TOL = 1e-14
 
 
 def _fmt(x: float) -> str:
@@ -151,29 +149,31 @@ class PrincipalAngleReport:
     aff_inf: float
 
 
+def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
+    """``X`` with each nonzero column multiplied by the power of two that puts
+    its largest absolute entry in [0.5, 1); zero columns stay zero.
+
+    The scaling is exact (short of entries some 2^1022 times smaller than
+    their column's largest), so unit columns and correlations keep their bits.
+    """
+    X = np.asarray(X, dtype=float)
+    return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
+
+
 def normalize_columns(points: PointSet) -> PointSet:
     """Scale every column to unit Euclidean norm, preserving labels.
-
-    A column whose norm overflows (entries near 1e154 and beyond) is first
-    divided by its largest absolute entry; every other column is divided by
-    its plain norm.
 
     Raises
     ------
     ZeroVector
-        If any column has norm <= 1e-14.
+        If any column is exactly zero.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(points.data, axis=0)
-    bad = np.flatnonzero(norms <= ZERO_NORM_TOL)
-    if bad.size:
-        raise ZeroVector(int(bad[0]))
-    data = points.data / norms
-    huge = ~np.isfinite(norms)
-    if huge.any():
-        cols = points.data[:, huge] / np.abs(points.data[:, huge]).max(axis=0)
-        data[:, huge] = cols / np.linalg.norm(cols, axis=0)
-    return PointSet(data, points.labels)
+    data = power_of_two_scaled(points.data)
+    norms = np.linalg.norm(data, axis=0)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(int(zero[0]))
+    return PointSet(data / norms, points.labels)
 
 
 def spherical_pseudo_distance(x: np.ndarray, y: np.ndarray) -> float:

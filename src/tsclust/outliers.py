@@ -4,7 +4,8 @@ A point is flagged as an outlier when its largest absolute inner product
 against every other point falls below ``c * sqrt(log N) / sqrt(m)`` (natural
 log).  Scores use the raw inner products, not correlation-normalized ones:
 the calibration of the two reference constants assumes the stated point
-models, and renormalizing would shift the threshold.
+models, and renormalizing would shift the threshold.  The CLI and the
+experiment harness both read a user's ``c`` through :func:`threshold_constant`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,27 @@ NOISELESS_C = math.sqrt(6.0)
 NOISY_C = 2.3 * math.sqrt(6.0)
 
 _CHUNK = 2048
+
+
+def threshold_constant(c=None, noisy: bool = False) -> float:
+    """The threshold constant that ``c`` names or gives: ``"noiseless"``,
+    ``"noisy"``, a number or a numeric string; ``None`` names the constant
+    calibrated for the noise level ``noisy``.
+
+    Raises
+    ------
+    ConfigError
+        Unless ``c`` is one of these and its value is finite and positive.
+    """
+    if c is None:
+        c = "noisy" if noisy else "noiseless"
+    try:
+        value = float({"noiseless": NOISELESS_C, "noisy": NOISY_C}.get(c, c))
+    except (TypeError, ValueError):
+        raise ConfigError(f"c must be 'noiseless', 'noisy', or a number, got {c!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"c must be finite and positive, got {c!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,11 +84,13 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
     ------
     TooFewPoints
         If fewer than two points are supplied.
+    ConfigError
+        If ``c`` is not finite and positive.
     """
     if points.N < 2:
         raise TooFewPoints(f"outlier detection needs >= 2 points, got {points.N}")
-    if c <= 0.0:
-        raise ConfigError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ConfigError(f"c must be finite and positive, got {c}")
     X = points.data
     m, N = X.shape
     scores = np.empty(N)

@@ -1,7 +1,8 @@
 """Seeded synthetic data generators: Haar-random subspace bases, points
 uniform on subspace spheres, controlled-intersection constructions, additive
-noise and erasures, random outliers, and the analytic density of absolute
-inner products between uniform sphere points (used as a sampling oracle).
+noise and erasures, random outliers, and the analytic density and
+closed-form CDF of absolute inner products between uniform sphere points
+(used as a sampling oracle).
 
 Every generator is a deterministic function of its parameters and seed.
 """
@@ -12,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import InvalidDims
 from .geometry import PointSet, SubspaceBasis
@@ -68,15 +68,14 @@ def haar_basis(m: int, d: int, seed: int) -> SubspaceBasis:
     """
     if not 1 <= d <= m:
         raise InvalidDims(f"need 1 <= d <= m, got d={d}, m={m}")
-    rng = np.random.default_rng(seed)
-    return SubspaceBasis(_haar_columns(m, d, rng))
+    return SubspaceBasis(_positive_qr(np.random.default_rng(seed).standard_normal((m, d))))
 
 
-def _haar_columns(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((m, d))
+def _positive_qr(g: np.ndarray) -> np.ndarray:
+    """The Q of ``g = QR`` with the diagonal of R made positive: Haar
+    distributed for a Gaussian ``g``."""
     q, r = np.linalg.qr(g)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def sample_subspace_points(U: SubspaceBasis, n: int, seed: int) -> np.ndarray:
@@ -136,15 +135,19 @@ def shared_intersection_ensemble(m: int, L: int, d: int, seed: int) -> list[Subs
     if d > m:
         raise InvalidDims(f"need d <= m, got d={d}, m={m}")
     rng = np.random.default_rng(seed)
-    shared = _haar_columns(m, d // 3, rng)
+    shared = _positive_qr(rng.standard_normal((m, d // 3)))
     bases = []
     for _ in range(L):
         g = rng.standard_normal((m, 2 * d // 3))
         g -= shared @ (shared.T @ g)  # restrict to the orthogonal complement
-        q, r = np.linalg.qr(g)
-        own = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        bases.append(SubspaceBasis(np.hstack([own, shared])))
+        bases.append(SubspaceBasis(np.hstack([_positive_qr(g), shared])))
     return bases
+
+
+def haar_ensemble(m: int, L: int, d: int, seed: int) -> list[SubspaceBasis]:
+    """``L`` independent Haar ``d``-dimensional subspaces of ``R^m``, basis
+    ``l`` drawn by :func:`haar_basis` from the sub-stream ``derive_seed(seed, l)``."""
+    return [haar_basis(m, d, derive_seed(seed, l)) for l in range(L)]
 
 
 def orthogonal_ensemble(m: int, L: int, d: int, seed: int) -> list[SubspaceBasis]:
@@ -329,17 +332,14 @@ def inner_product_abs_pdf(d: int, z):
 
 
 def inner_product_abs_cdf(d: int, z: float) -> float:
-    """CDF companion of :func:`inner_product_abs_pdf` by adaptive quadrature.
+    """CDF companion of :func:`inner_product_abs_pdf` in closed form.
 
-    Integrates in the angle variable (``z = sin(theta)``), where the
-    integrand ``const * cos(theta)^(d-2)`` is smooth for every ``d >= 2``,
-    removing the ``d = 2`` endpoint singularity.
+    ``|<a, b>|^2`` is Beta(1/2, (d-1)/2), so ``P(|<a, b>| <= z)`` is the
+    regularized incomplete beta function at ``z^2``.
     """
     if d < 2:
         raise InvalidDims(f"need d >= 2, got {d}")
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise ValueError("z must lie in [0, 1]")
-    const = np.exp(_abs_pdf_log_const(d))
-    value, _ = quad(lambda theta: const * np.cos(theta) ** (d - 2), 0.0, np.arcsin(z))
-    return min(value, 1.0)
+    return float(betainc(0.5, (d - 1) / 2.0, z * z))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, QTooLarge, TooFewPoints
-from .geometry import PointSet, normalize_columns
+from .geometry import PointSet, normalize_columns, power_of_two_scaled
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
@@ -141,22 +141,15 @@ def _correlation_blocks(X: np.ndarray, normalize: bool):
     both column norms, clamped to [0, 1].
 
     Neighbor selection and the ``exp`` weights both read their correlations
-    from here, so the two agree bit for bit.  With ``normalize``, a column
-    whose plain norm overflows (entries near 1e154 and beyond) is first
-    scaled by a power of two that brings its largest entry into [0.5, 1),
-    which leaves its correlations unchanged; every other column is used as
-    given.
+    from here, so the two agree bit for bit.  With ``normalize``, the columns
+    are first rescaled by :func:`~tsclust.geometry.power_of_two_scaled`, which
+    keeps the correlations and keeps the norms finite and, unless a column is
+    zero (its correlations are 0), nonzero.
     """
     N = X.shape[1]
     if normalize:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(X, axis=0)
-        huge = ~np.isfinite(norms)
-        if huge.any():
-            shift = np.zeros(N, dtype=int)
-            shift[huge] = -np.frexp(np.abs(X[:, huge]).max(axis=0))[1]
-            X = np.ldexp(X, shift)
-            norms = np.linalg.norm(X, axis=0)
+        X = power_of_two_scaled(X)
+        norms = np.linalg.norm(X, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
     for start in range(0, N, CORRELATION_BLOCK):
         stop = min(start + CORRELATION_BLOCK, N)

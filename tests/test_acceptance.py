@@ -257,7 +257,7 @@ def test_criterion_07_missing_data():
 
 
 def test_criterion_08_sampling_oracle():
-    """Empirical inner products match the quadrature CDF; density normalizes."""
+    """Empirical inner products match the closed-form CDF; density normalizes."""
     worst_ks = 0.0
     for d in (2, 5, 10):
         U = haar_basis(d, d, seed=500 + d)

@@ -118,6 +118,13 @@ class TestOutliersCommand:
         proc = run_cli("outliers", orthogonal_fixture, "--c", "huge", "--out", tmp_path / "o.csv")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+    def test_non_finite_or_nonpositive_c_exits_2(self, tmp_path, orthogonal_fixture, c):
+        out = tmp_path / "o.csv"
+        proc = run_cli("outliers", orthogonal_fixture, "--c", c, "--out", out)
+        assert proc.returncode == 2
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def write_spec(self, tmp_path, **overrides):

@@ -1,3 +1,7 @@
+import re
+from dataclasses import asdict, replace
+from pathlib import Path
+
 import pytest
 
 from tsclust.errors import ConfigError
@@ -51,11 +55,29 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec({"scenario": "outliers", "d": 7, "m_values": [50]})
         with pytest.raises(ConfigError):
+            load_spec({"scenario": "outliers", "d": 0})
+        with pytest.raises(ConfigError):
             load_spec({"scenario": "mnist"})
 
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
             small_intersect_spec(trials=0)
+
+    @pytest.mark.parametrize(
+        "value", [[], None, 5, [None], ["five"]],
+        ids=["empty", "null", "scalar", "null-entry", "text-entry"],
+    )
+    def test_bad_sweep_axis_rejected(self, value):
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "grid", "d_values": value})
+
+    def test_huge_noise_checks_grid_fields(self):
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "huge-noise", "ensemble": "bogus", "s": 3})
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "huge-noise", "m": 30, "s": 30})
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "huge-noise", "ensemble": "shared", "d": 5})
 
 
 class TestRunExperiment:
@@ -148,6 +170,28 @@ class TestRunExperiment:
         assert len(result.rows) == 2
         assert result.rows[0][0] == 0.0 and result.rows[1][0] == 0.2
 
+    def test_huge_noise_scenario(self):
+        spec = load_spec(
+            {
+                "scenario": "huge-noise",
+                "m": 60,
+                "L": 3,
+                "d": 3,
+                "n_values": [20],
+                "sigma2_values": [0.5, 1.0],
+                "trials": 2,
+                "seed": 8,
+            }
+        )
+        result = run_experiment(spec)
+        assert [row[:2] for row in result.rows] == [[0.5, 20], [1.0, 20]]
+        assert all(0.0 <= row[3] <= 1.0 for row in result.rows)
+        # s and ensemble take effect as in grid.
+        erased = run_experiment(replace(spec, s=10))
+        assert erased.rows != result.rows
+        shared = load_spec(dict(asdict(spec), ensemble="shared", d=6, trials=1))
+        assert len(run_experiment(shared).rows) == 2
+
     def test_mnist_scenario(self, tmp_path):
         ds = synthetic_dataset(n_per_digit=30, digits=(2, 4, 8), seed=11)
         images = tmp_path / "imgs.idx"
@@ -184,33 +228,30 @@ class TestFormatting:
 
 class TestOutlierConstantResolution:
     def test_defaults_follow_noise_level(self):
-        from tsclust.experiments import _resolve_c
-        from tsclust.outliers import NOISELESS_C, NOISY_C
+        from tsclust.outliers import NOISELESS_C, NOISY_C, threshold_constant
 
-        clean = load_spec({"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1})
-        noisy = load_spec(
-            {"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "sigma2": 0.2}
-        )
-        assert _resolve_c(clean) == NOISELESS_C
-        assert _resolve_c(noisy) == NOISY_C
-        named = load_spec(
-            {"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "c": "noisy"}
-        )
-        assert _resolve_c(named) == NOISY_C
-        literal = load_spec(
-            {"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "c": 1.5}
-        )
-        assert _resolve_c(literal) == 1.5
+        def resolved(**overrides):
+            raw = {"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1}
+            spec = load_spec(dict(raw, **overrides))
+            return threshold_constant(spec.c, spec.sigma2 > 0)
+
+        assert resolved() == NOISELESS_C
+        assert resolved(sigma2=0.2) == NOISY_C
+        assert resolved(c="noisy") == NOISY_C
+        assert resolved(c=1.5) == 1.5
 
     def test_bad_c_string_rejected(self):
-        from tsclust.errors import ConfigError
-        from tsclust.experiments import _resolve_c
+        from tsclust.outliers import threshold_constant
 
-        spec = load_spec(
-            {"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "c": "best"}
-        )
         with pytest.raises(ConfigError):
-            _resolve_c(spec)
+            threshold_constant("best")
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "c": "best"})
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1", 0.0, -1.0])
+    def test_non_finite_or_nonpositive_c_rejected_at_load(self, c):
+        with pytest.raises(ConfigError):
+            load_spec({"scenario": "outliers", "m_values": [50], "n": 5, "trials": 1, "c": c})
 
     def test_noisy_scenario_uses_gaussian_outliers_and_rescaled_inliers(self):
         # Mechanism check: with sigma2 > 0 the generated outlier block is
@@ -237,3 +278,42 @@ class TestOutlierConstantResolution:
         # Inlier squared norms concentrate around (1 + sigma2)/(1 + sigma2) = 1.
         assert 0.9 <= float(np.mean(inlier_norms**2)) <= 1.1
         assert np.std(outlier_norms) > np.std(inlier_norms) * 0.5
+
+
+def readme_row_columns() -> dict:
+    """Scenario name -> row columns, read from the README's scenario table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\|.*\| `([a-z0-9_,]+)` +\|$", text, flags=re.M)
+    return {name: columns.split(",") for name, columns in rows}
+
+
+# Scenario -> (a one-cell spec, the sweep columns each per-trial row ends with).
+TINY_SPECS = {
+    "intersect": ({"m": 20, "d": 3, "n": 10, "t_values": [1]}, ["t"]),
+    "grid": ({"m": 20, "L": 2, "d_values": [3], "n_values": [10]}, ["d", "n"]),
+    "noise-grid": (
+        {"m": 20, "L": 2, "d_values": [3], "n_values": [10], "sigma2_values": [0.1]},
+        ["sigma2", "d", "n"],
+    ),
+    "huge-noise": (
+        {"m": 40, "L": 2, "d": 3, "n_values": [10], "sigma2_values": [0.5]}, ["sigma2", "n"]
+    ),
+    "outliers": ({"m_values": [20], "n": 5}, ["m"]),
+    "mnist": ({"n_values": [10]}, ["n"]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY_SPECS))
+def test_headers_match_readme_table(scenario, tmp_path):
+    overrides, axes = TINY_SPECS[scenario]
+    raw = dict(overrides, scenario=scenario, trials=1, seed=3)
+    if scenario == "mnist":
+        ds = synthetic_dataset(n_per_digit=30, digits=(2, 4, 8), seed=11)
+        raw["images"], raw["labels"] = str(tmp_path / "imgs.idx"), str(tmp_path / "labs.idx")
+        write_idx(ds, raw["images"], raw["labels"])
+    result = run_experiment(load_spec(raw))
+    columns = readme_row_columns()
+    assert sorted(columns) == sorted(TINY_SPECS)
+    assert result.header == columns[scenario]
+    assert result.trial_header == ["scenario", "trial", "seed", "ce", "el", "fde", "outlier_err"] + axes
+    assert len(result.rows) == 1 and len(result.rows[0]) == len(result.header)

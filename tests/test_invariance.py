@@ -1,7 +1,7 @@
 """Invariances TSC must have, property-tested: the clustering does not
 change when the points are permuted, when columns flip sign, or when each
-column is scaled by its own power of ten (10^-6 up to 10^200, past the
-range where a plain Euclidean norm overflows)."""
+column is scaled by its own power of ten (10^-300 up to 10^300, past the
+ranges where a plain Euclidean norm underflows or overflows)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -63,7 +63,7 @@ def test_column_sign_flips(seed, variant, signs):
 @given(
     seed=SEEDS,
     variant=VARIANTS,
-    exponents=st.lists(st.integers(-6, 200), min_size=N, max_size=N),
+    exponents=st.lists(st.integers(-300, 300), min_size=N, max_size=N),
 )
 def test_column_scaling(seed, variant, exponents):
     points = base_points(seed)

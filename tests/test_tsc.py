@@ -323,33 +323,43 @@ class TestBadInput:
             run_tsc(PointSet(X), TscConfig(q=5, weight_variant=variant))
 
     def test_overflowing_scale_keeps_clustering(self):
-        # At 1e200 the plain column norms overflow to inf.
+        # At 1e200 the plain column norms overflow to inf; at 1e-20 they sit
+        # below any absolute zero-norm bound, and at 1e-170 their squares
+        # underflow to 0.
         bases = orthogonal_ensemble(30, 3, 5, seed=10)
         gt = union_of_subspaces(bases, 50, seed=11)
         config = TscConfig(q=5)
         plain = run_tsc(gt.points, config)
-        scaled = run_tsc(PointSet(gt.points.data * 1e200), config)
-        assert plain.L_hat == scaled.L_hat == 3
-        np.testing.assert_array_equal(scaled.labels, plain.labels)
-        assert clustering_error(gt.points.labels, scaled.labels) == 0.0
-
+        for scale in (1e200, 1e-20, 1e-170):
+            scaled = run_tsc(PointSet(gt.points.data * scale), config)
+            assert plain.L_hat == scaled.L_hat == 3
+            np.testing.assert_array_equal(scaled.labels, plain.labels)
+            assert clustering_error(gt.points.labels, scaled.labels) == 0.0
 
     @pytest.mark.parametrize("every", [1, 2])
     def test_overflowing_columns_in_kernel_keep_neighbors_and_weights(self, every):
         # Normalizing inside the correlation kernel: at 2^600 the plain norms
-        # of the scaled columns overflow to inf.  Rescaling them by a power
-        # of two gives the unscaled neighbor lists and exp weights bit for bit.
+        # of the scaled columns overflow to inf, at 2^-600 and 1e-170 their
+        # squares underflow to 0.  Rescaling the columns by powers of two
+        # gives the unscaled neighbor lists bit for bit, and the exp weights
+        # too wherever the scale is itself a power of two (multiplying by
+        # 1e-170 rounds each entry, which moves a weight by a few ulps).
         gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=1), 50, seed=2)
-        X = gt.points.data.copy()
-        X[:, ::every] *= 2.0**600
-        scaled = PointSet(X)
         expected = select_neighbors(gt.points, 5)
-        with np.errstate(over="raise", invalid="raise"):
-            got = select_neighbors(scaled, 5)
-            Z = compute_weights(scaled, got)
-        for a, b in zip(got, expected):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(Z.toarray(), compute_weights(gt.points, expected).toarray())
+        Z_expected = compute_weights(gt.points, expected).toarray()
+        for scale in (2.0**600, 2.0**-600, 1e-170):
+            X = gt.points.data.copy()
+            X[:, ::every] *= scale
+            scaled = PointSet(X)
+            with np.errstate(over="raise", invalid="raise"):
+                got = select_neighbors(scaled, 5)
+                Z = compute_weights(scaled, got).toarray()
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+            if np.frexp(scale)[0] == 0.5:
+                np.testing.assert_array_equal(Z, Z_expected)
+            else:
+                np.testing.assert_allclose(Z, Z_expected, rtol=1e-13, atol=0.0)
 
 
 class TestDefaultQ:
