@@ -30,10 +30,10 @@ Scenarios
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .geometry import PointSet
+from .geometry import PointSet, format_cell, write_csv  # noqa: F401  (re-exported)
 from .ingest import load_idx, subsample_digits
 from .metrics import clustering_error, el_error, feature_detection_error, outlier_confusion
 from .numerics import derive_seed
@@ -96,6 +96,24 @@ class ExperimentSpec:
 _FIELD_NAMES = {f.name for f in fields(ExperimentSpec)}
 _TUPLE_FIELDS = {"t_values", "d_values", "n_values", "sigma2_values", "m_values", "digits"}
 
+#: The values each scalar annotation of ``ExperimentSpec`` admits.
+_SCALAR_TYPES = {
+    "int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_),
+    "str": str, "None": type(None),
+}
+
+
+def _check_types(raw: dict) -> None:
+    """Reject a scalar spec field whose value its annotation does not admit
+    (a bool is no number); sweep axes and ``c`` are checked elsewhere."""
+    for f in fields(ExperimentSpec):
+        kinds = f.type.split(" | ")
+        if f.name in raw and set(kinds) <= set(_SCALAR_TYPES):
+            value = raw[f.name]
+            admitted = [k for k in kinds if isinstance(value, _SCALAR_TYPES[k])]
+            if not admitted or isinstance(value, (bool, np.bool_)) != ("bool" in admitted):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
 
 def load_spec(raw: dict) -> ExperimentSpec:
     """Build a validated spec from a JSON-style dict, applying scenario
@@ -104,7 +122,8 @@ def load_spec(raw: dict) -> ExperimentSpec:
     Raises
     ------
     ConfigError
-        On unknown keys, unknown scenarios, an empty sweep axis, or a cell
+        On unknown keys, unknown scenarios, a scalar field of the wrong type
+        (``"3"`` for an integer, ``"no"`` for a bool), an empty sweep axis, or a cell
         the scenario cannot run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
@@ -115,6 +134,7 @@ def load_spec(raw: dict) -> ExperimentSpec:
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    _check_types(raw)
     merged = dict(_SCENARIOS[scenario].defaults)
     merged.update({k: v for k, v in raw.items() if k != "scenario"})
     for key in _TUPLE_FIELDS & set(merged):
@@ -443,24 +463,3 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         trial_rows=trial_rows,
         manifest=manifest,
     )
-
-
-def format_cell(value) -> str:
-    """CSV cell formatting: 17 significant digits for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])

@@ -5,6 +5,9 @@ Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
 product of their orthonormal bases, which are the cosines of the principal
 angles between them.  Whatever divides by column norms first rescales the
 columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
+The blocked |X^T X| kernel :func:`correlation_blocks` serves neighbor
+selection, the ``exp`` weights and the outlier scores, and every CSV the
+package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,27 @@ from .errors import InvalidDims, LengthMismatch, NonFinite, NonOrthonormalBasis,
 ORTHONORMALITY_TOL = 1e-8
 
 
-def _fmt(x: float) -> str:
-    """Format a float with 17 significant digits (round-trip safe)."""
-    return format(float(x), ".17g")
+#: Points per block of the |X^T X| kernel; a block holds this many rows of N
+#: inner products, so memory stays at O(N * block) instead of O(N^2).
+CORRELATION_BLOCK = 256
+
+
+def format_cell(value) -> str:
+    """CSV cell formatting: 17 significant digits (round-trip safe) for
+    floats, integers for ints and bools, empty for ``None``."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of cells through :func:`format_cell`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -68,18 +89,12 @@ class PointSet:
 
     def to_csv(self, path) -> None:
         """Write one point per row with header ``x1,...,xm[,label]``."""
-        m = self.m
-        header = [f"x{i + 1}" for i in range(m)]
+        header = [f"x{i + 1}" for i in range(self.m)]
+        rows = (list(point) for point in self.data.T)
         if self.labels is not None:
             header.append("label")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for j in range(self.N):
-                row = [_fmt(v) for v in self.data[:, j]]
-                if self.labels is not None:
-                    row.append(str(int(self.labels[j])))
-                writer.writerow(row)
+            rows = (row + [label] for row, label in zip(rows, self.labels))
+        write_csv(path, header, rows)
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":
@@ -158,6 +173,31 @@ def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
+
+
+def correlation_blocks(X: np.ndarray, normalize: bool):
+    """Yield ``(start, C)`` over blocks of ``CORRELATION_BLOCK`` points,
+    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i.
+
+    With ``normalize`` these are correlations in [0, 1], taken from columns
+    rescaled by :func:`power_of_two_scaled` so no norm overflows or
+    underflows (a zero column correlates 0 with all).  Without it the raw
+    absolute inner products pass through unclamped and can exceed 1.
+    """
+    N = X.shape[1]
+    if normalize:
+        X = power_of_two_scaled(X)
+        norms = np.linalg.norm(X, axis=0)
+        norms = np.where(norms > 0.0, norms, 1.0)
+    for start in range(0, N, CORRELATION_BLOCK):
+        stop = min(start + CORRELATION_BLOCK, N)
+        C = X[:, start:stop].T @ X
+        np.abs(C, out=C)
+        if normalize:
+            C /= norms[start:stop, None]
+            C /= norms[None, :]
+            np.minimum(C, 1.0, out=C)
+        yield start, C
 
 
 def normalize_columns(points: PointSet) -> PointSet:

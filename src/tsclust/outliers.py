@@ -4,20 +4,22 @@ A point is flagged as an outlier when its largest absolute inner product
 against every other point falls below ``c * sqrt(log N) / sqrt(m)`` (natural
 log).  Scores use the raw inner products, not correlation-normalized ones:
 the calibration of the two reference constants assumes the stated point
-models, and renormalizing would shift the threshold.  The CLI and the
-experiment harness both read a user's ``c`` through :func:`threshold_constant`.
+models, and renormalizing would shift the threshold.  The scores come from
+the blocked |X^T X| kernel that neighbor selection uses,
+:func:`tsclust.geometry.correlation_blocks`, read unnormalized and unclamped.
+The CLI and the experiment harness both read a user's ``c`` through
+:func:`threshold_constant`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TooFewPoints
-from .geometry import PointSet
+from .geometry import PointSet, correlation_blocks, write_csv
 
 #: Threshold constant calibrated for unit-norm inliers and sphere outliers.
 NOISELESS_C = math.sqrt(6.0)
@@ -25,8 +27,6 @@ NOISELESS_C = math.sqrt(6.0)
 #: Threshold constant calibrated for noisy, variance-rescaled inliers and
 #: Gaussian outliers.
 NOISY_C = 2.3 * math.sqrt(6.0)
-
-_CHUNK = 2048
 
 
 def threshold_constant(c=None, noisy: bool = False) -> float:
@@ -60,13 +60,8 @@ class OutlierReport:
     flags: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "score", "threshold", "is_outlier"])
-            for i, (s, f) in enumerate(zip(self.scores, self.flags)):
-                writer.writerow(
-                    [i, format(float(s), ".17g"), format(self.threshold, ".17g"), int(f)]
-                )
+        rows = ((i, s, self.threshold, f) for i, (s, f) in enumerate(zip(self.scores, self.flags)))
+        write_csv(path, ["index", "score", "threshold", "is_outlier"], rows)
 
 
 def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
@@ -91,14 +86,10 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
         raise TooFewPoints(f"outlier detection needs >= 2 points, got {points.N}")
     if not (math.isfinite(c) and c > 0.0):
         raise ConfigError(f"c must be finite and positive, got {c}")
-    X = points.data
-    m, N = X.shape
+    m, N = points.data.shape
     scores = np.empty(N)
-    # Blocked Gram computation keeps memory at O(N * chunk) for large N.
-    for start in range(0, N, _CHUNK):
-        stop = min(start + _CHUNK, N)
-        G = np.abs(X.T @ X[:, start:stop])
-        G[np.arange(start, stop), np.arange(stop - start)] = -np.inf
-        scores[start:stop] = G.max(axis=0)
+    for start, C in correlation_blocks(points.data, normalize=False):
+        np.fill_diagonal(C[:, start:], -np.inf)
+        scores[start:start + C.shape[0]] = C.max(axis=1)
     threshold = c * math.sqrt(math.log(N)) / math.sqrt(m)
     return OutlierReport(scores=scores, threshold=threshold, flags=scores < threshold)

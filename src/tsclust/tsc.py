@@ -2,19 +2,20 @@
 spherical pseudo-distance, turn the retained correlations into edge weights,
 symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
-largest eigenvalue gap of the Laplacian spectrum.
+largest eigenvalue gap of the Laplacian spectrum.  Neighbor selection and
+the ``exp`` weights read their correlations from the one blocked |X^T X|
+kernel, :func:`tsclust.geometry.correlation_blocks`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, QTooLarge, TooFewPoints
-from .geometry import PointSet, normalize_columns, power_of_two_scaled
+from .geometry import PointSet, correlation_blocks, normalize_columns, write_csv
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
@@ -22,10 +23,6 @@ DEGREE_TOL = 1e-14
 
 #: Embedding rows with norm at or below this are left as zero rows.
 ROW_NORM_TOL = 1e-14
-
-#: Points per block of the |X^T X| kernel; a block holds this many rows of N
-#: correlations, so memory stays at O(N * block) instead of O(N^2).
-CORRELATION_BLOCK = 256
 
 WEIGHT_VARIANTS = ("exp", "ls")
 
@@ -41,7 +38,8 @@ class TscConfig:
     estimates it with the eigengap heuristic, searching gap indices up to
     ``max_L`` (default: N - 1).  ``correlation_normalize`` divides inner
     products by the column norms so unnormalized inputs behave as if
-    unit-normalized; disable to feed raw inner products through.
+    unit-normalized; disable to rank raw absolute inner products as they are
+    (the ``exp`` weights read those above 1 as 1).
     """
 
     q: int
@@ -86,11 +84,7 @@ class NeighborGraph:
         keep = (coo.row < coo.col) & (coo.data != 0.0)
         rows, cols, weights = coo.row[keep], coo.col[keep], coo.data[keep]
         order = np.lexsort((cols, rows))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "weight"])
-            for k in order:
-                writer.writerow([int(rows[k]), int(cols[k]), format(weights[k], ".17g")])
+        write_csv(path, ["i", "j", "weight"], zip(rows[order], cols[order], weights[order]))
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,7 @@ class ClusterResult:
     graph: NeighborGraph | None = None
 
     def labels_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "label"])
-            for i, lab in enumerate(self.labels):
-                writer.writerow([i, int(lab)])
+        write_csv(path, ["index", "label"], enumerate(self.labels))
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,33 +123,6 @@ def default_q(n: int, L_known: bool) -> int:
         raise ConfigError(f"n must be >= 1, got {n}")
     q = max(3, -(-n // 20))
     return q if L_known else 2 * q
-
-
-def _correlation_blocks(X: np.ndarray, normalize: bool):
-    """Yield ``(start, C)`` over blocks of points, where row ``b`` of ``C``
-    holds ``|<x_{start+b}, x_i>|`` for every point i, optionally divided by
-    both column norms, clamped to [0, 1].
-
-    Neighbor selection and the ``exp`` weights both read their correlations
-    from here, so the two agree bit for bit.  With ``normalize``, the columns
-    are first rescaled by :func:`~tsclust.geometry.power_of_two_scaled`, which
-    keeps the correlations and keeps the norms finite and, unless a column is
-    zero (its correlations are 0), nonzero.
-    """
-    N = X.shape[1]
-    if normalize:
-        X = power_of_two_scaled(X)
-        norms = np.linalg.norm(X, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-    for start in range(0, N, CORRELATION_BLOCK):
-        stop = min(start + CORRELATION_BLOCK, N)
-        C = X[:, start:stop].T @ X
-        if normalize:
-            C /= norms[start:stop, None]
-            C /= norms[None, :]
-        np.abs(C, out=C)
-        np.clip(C, 0.0, 1.0, out=C)
-        yield start, C
 
 
 def _top_q(C: np.ndarray, q: int) -> np.ndarray:
@@ -184,8 +147,9 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> list[n
     """For each point j, the q indices i != j with largest absolute
     correlation, in descending correlation order; ties go to the lower index.
 
-    Correlations come from blocks of |X^T X| (``CORRELATION_BLOCK`` points
-    at a time); no N x N matrix is formed.
+    Correlations come from :func:`~tsclust.geometry.correlation_blocks`; no
+    N x N matrix is formed.  Without ``normalize`` the raw absolute inner
+    products are ranked as they are, values above 1 included.
 
     Raises
     ------
@@ -198,8 +162,8 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> list[n
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
     neighbors = []
-    for start, C in _correlation_blocks(points.data, normalize):
-        C[np.arange(C.shape[0]), np.arange(start, start + C.shape[0])] = -1.0
+    for start, C in correlation_blocks(points.data, normalize):
+        np.fill_diagonal(C[:, start:], -1.0)
         neighbors.extend(_top_q(C, q))
     return neighbors
 
@@ -212,8 +176,9 @@ def compute_weights(
 ) -> sparse.csr_array:
     """Column-j weights on the neighbor set of point j, as an N x N CSR array.
 
-    ``"exp"``: ``exp(-2 arccos |corr(x_j, x_i)|)``, with the correlations
-    taken from the same blocked kernel as :func:`select_neighbors`.
+    ``"exp"``: ``exp(-2 arccos min(|corr(x_j, x_i)|, 1))``, with the
+    correlations taken from the same blocked kernel as :func:`select_neighbors`
+    (raw inner products, without ``normalize``, can exceed 1).
     ``"ls"``: absolute values of the minimum-norm least-squares coefficients
     expressing ``x_j`` in the columns indexed by its neighbor set (raw
     columns as provided; pass pre-normalized points for
@@ -231,10 +196,10 @@ def compute_weights(
     if weight_variant == "exp":
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         corr = np.empty(rows.size)
-        for start, C in _correlation_blocks(X, normalize):
+        for start, C in correlation_blocks(X, normalize):
             lo, hi = offsets[start], offsets[start + C.shape[0]]
             corr[lo:hi] = C[cols[lo:hi] - start, rows[lo:hi]]
-        weights = np.exp(-2.0 * np.arccos(corr))
+        weights = np.exp(-2.0 * np.arccos(np.minimum(corr, 1.0, out=corr)))
     else:
         weights = np.concatenate(
             [np.abs(least_squares(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors)]

@@ -187,6 +187,13 @@ class TestExperimentCommand:
         proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
         assert proc.returncode == 2
 
+    def test_mistyped_field_exits_2(self, tmp_path):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"scenario": "grid", "trials": "3"}))
+        proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
+        assert proc.returncode == 2
+        assert "trials must be int" in proc.stderr
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

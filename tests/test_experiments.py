@@ -71,6 +71,44 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec({"scenario": "grid", "d_values": value})
 
+    @pytest.mark.parametrize(
+        "scenario, field, value",
+        [
+            ("grid", "trials", "3"),
+            ("grid", "seed", True),
+            ("grid", "m", 50.0),
+            ("outliers", "n", "50"),
+            ("intersect", "q", "5"),
+            ("grid", "sigma2", "0.5"),
+            ("outliers", "outlier_factor", True),
+            ("grid", "L_known", "no"),
+            ("grid", "noise_first", 0),
+            ("mnist", "center", "yes"),
+            ("mnist", "images", 5),
+        ],
+    )
+    def test_mistyped_scalar_rejected(self, scenario, field, value):
+        raw = {"scenario": scenario}
+        if scenario == "mnist":
+            raw.update(images="i.idx", labels="l.idx")
+        raw[field] = value
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            load_spec(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"scenario": "grid", "sigma2": 0},
+            {"scenario": "outliers", "outlier_factor": 2, "sigma2": 0.1},
+            {"scenario": "grid", "q": None, "max_L": None, "L_known": None},
+            {"scenario": "intersect", "L_known": True, "noise_first": False, "s": 0},
+        ],
+        ids=["int-sigma2", "int-factor", "nulls", "bools"],
+    )
+    def test_well_typed_scalars_load(self, raw):
+        spec = load_spec(raw)
+        assert all(getattr(spec, k) == v for k, v in raw.items())
+
     def test_huge_noise_checks_grid_fields(self):
         with pytest.raises(ConfigError):
             load_spec({"scenario": "huge-noise", "ensemble": "bogus", "s": 3})

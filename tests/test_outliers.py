@@ -112,17 +112,17 @@ class TestDetectionQuality:
 
     def test_chunking_consistency(self):
         # Scores must not depend on the internal block size.
-        from tsclust import outliers as mod
+        from tsclust import geometry
 
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 63))
         full = detect_outliers(PointSet(X))
-        original = mod._CHUNK
+        original = geometry.CORRELATION_BLOCK
         try:
-            mod._CHUNK = 7
+            geometry.CORRELATION_BLOCK = 7
             blocked = detect_outliers(PointSet(X))
         finally:
-            mod._CHUNK = original
+            geometry.CORRELATION_BLOCK = original
         # Different GEMM shapes change the BLAS summation order, so agreement
         # is to rounding, not bitwise.
         np.testing.assert_allclose(blocked.scores, full.scores, atol=1e-12)

@@ -15,7 +15,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from tsclust import tsc
+from tsclust import geometry, tsc
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.numerics import kmeans, least_squares, sym_eig
 from tsclust.synth import intersecting_pair, orthogonal_ensemble, union_of_subspaces
@@ -334,7 +334,7 @@ class TestNeighborTiesAcrossBlocks:
 
     @pytest.mark.parametrize("block", [1, 3, 5, 7, 256])
     def test_matches_stable_argsort(self, monkeypatch, block):
-        monkeypatch.setattr(tsc, "CORRELATION_BLOCK", block)
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", block)
         points = self.duplicated_points()
         N = points.N
         C = dense_abs_correlations(points.data)
@@ -352,7 +352,7 @@ class TestNeighborTiesAcrossBlocks:
         assert tied_at_q > 100
 
     def test_duplicates_in_other_block_come_first_by_index(self, monkeypatch):
-        monkeypatch.setattr(tsc, "CORRELATION_BLOCK", 2)
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 2)
         X = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
         sets = select_neighbors(PointSet(X), 3)
         # Point 5 duplicates points 0, 2 and 3, which sit in earlier blocks.

@@ -415,6 +415,18 @@ class TestEdgePaths:
         )
         assert clustering_error(a.labels, b.labels) == 0.0
 
+    def test_no_normalize_ranks_raw_inner_products(self):
+        # Scaled by 3, most raw |<x_i, x_j>| within a subspace exceed 1; they
+        # are ranked as they are, not cut to 1 first.
+        gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=1), 50, seed=2)
+        X = gt.points.data * 3.0
+        C = np.abs(X.T @ X)
+        np.fill_diagonal(C, -1.0)
+        order = np.argsort(-C, axis=0, kind="stable")
+        got = select_neighbors(PointSet(X), 5, normalize=False)
+        for j, idx in enumerate(got):
+            np.testing.assert_array_equal(idx, order[:5, j])
+
     def test_max_L_caps_estimate(self):
         bases = orthogonal_ensemble(50, 2, 5, seed=50)
         gt = union_of_subspaces(bases, 100, seed=51)
