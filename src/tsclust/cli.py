@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, IdxFormatError, NonFinite, TscError
-from .experiments import format_cell, load_spec_file, run_experiment, write_csv
-from .geometry import PointSet
+from .experiments import load_spec_file, run_experiment
+from .geometry import PointSet, format_cell, write_csv
 from .ingest import load_idx, remove_top_principal_components, singular_value_profile
 from .numerics import derive_seed
 from .outliers import detect_outliers, threshold_constant

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .geometry import PointSet, format_cell, write_csv  # noqa: F401  (re-exported)
+from .geometry import PointSet, write_csv
 from .ingest import load_idx, subsample_digits
 from .metrics import clustering_error, el_error, feature_detection_error, outlier_confusion
 from .numerics import derive_seed
@@ -123,8 +123,9 @@ def load_spec(raw: dict) -> ExperimentSpec:
     ------
     ConfigError
         On unknown keys, unknown scenarios, a scalar field of the wrong type
-        (``"3"`` for an integer, ``"no"`` for a bool), an empty sweep axis, or a cell
-        the scenario cannot run (infeasible dimensions, a bad ``c``).
+        (``"3"`` for an integer, ``"no"`` for a bool), ``null`` for a field the
+        scenario needs, an empty sweep axis, or a cell the scenario cannot
+        run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
         raise ConfigError("experiment spec must be a JSON object")
@@ -144,6 +145,9 @@ def load_spec(raw: dict) -> ExperimentSpec:
             except TypeError:
                 raise ConfigError(f"{key} must be a list, got {merged[key]!r}") from None
     spec = ExperimentSpec(scenario=scenario, **merged)
+    for name in _SCENARIOS[scenario].needs:
+        if getattr(spec, name) is None:
+            raise ConfigError(f"{name} must not be null in scenario {scenario!r}")
     if spec.scenario == "intersect" and spec.t_values is None:
         spec = replace(spec, t_values=tuple(range(spec.d + 1)))
     _validate(spec)
@@ -310,7 +314,8 @@ class Scenario:
     ``axes`` are the sweeps as ``(CSV column, spec field, type)``, the first
     outermost.  A CSV row holds the axis values, the spec fields in
     ``copied`` and the ``summary`` of the cell's trial records as ``(CSV
-    column, "mean" or "std", record key)``.  ``trial(spec, cell, seed)`` and
+    column, "mean" or "std", record key)``.  ``needs`` names the scalar
+    fields the trial reads that no axis fills.  ``trial(spec, cell, seed)`` and
     ``check(spec, cell)`` get the spec with the cell filled in.  They reach
     the library through module globals, which a tracer may swap.
     """
@@ -319,6 +324,7 @@ class Scenario:
     axes: tuple
     trial: Callable
     check: Callable
+    needs: tuple = ()
     copied: tuple = ()
     summary: tuple = _CLUSTER_SUMMARY
 
@@ -329,12 +335,14 @@ _SCENARIOS = {
         axes=(("t", "t_values", int),),
         trial=_trial_intersect,
         check=_check_intersect,
+        needs=("m", "d", "n"),
     ),
     "grid": Scenario(
         defaults=dict(m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200)),
         axes=(("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
+        needs=("m", "L"),
         copied=("s",),
     ),
     "noise-grid": Scenario(
@@ -345,18 +353,21 @@ _SCENARIOS = {
         axes=(("sigma2", "sigma2_values", float), ("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
+        needs=("m", "L"),
     ),
     "huge-noise": Scenario(
         defaults=dict(m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0)),
         axes=(("sigma2", "sigma2_values", float), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
+        needs=("m", "L", "d"),
     ),
     "outliers": Scenario(
         defaults=dict(d=5, n=50, m_values=(50, 100, 200), L_known=True),
         axes=(("m", "m_values", int),),
         trial=_trial_outliers,
         check=_check_outliers,
+        needs=("d", "n"),
         summary=(
             ("misclassification_error", "mean", "outlier_err"),
             ("misclassification_std", "std", "outlier_err"),

@@ -6,8 +6,8 @@ product of their orthonormal bases, which are the cosines of the principal
 angles between them.  Whatever divides by column norms first rescales the
 columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
 The blocked |X^T X| kernel :func:`correlation_blocks` serves neighbor
-selection, the ``exp`` weights and the outlier scores, and every CSV the
-package writes goes through :func:`write_csv`.
+selection (whose picks carry the ``exp`` weights' correlations) and the
+outlier scores, and every CSV the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -182,7 +182,9 @@ def correlation_blocks(X: np.ndarray, normalize: bool):
     With ``normalize`` these are correlations in [0, 1], taken from columns
     rescaled by :func:`power_of_two_scaled` so no norm overflows or
     underflows (a zero column correlates 0 with all).  Without it the raw
-    absolute inner products pass through unclamped and can exceed 1.
+    absolute inner products pass through unclamped and can exceed 1, or
+    overflow.  Its two callers, :func:`tsclust.tsc.select_neighbors` and
+    :func:`tsclust.outliers.detect_outliers`, each make one pass.
     """
     N = X.shape[1]
     if normalize:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TooFewPoints
+from .errors import ConfigError, NonFinite, TooFewPoints
 from .geometry import PointSet, correlation_blocks, write_csv
 
 #: Threshold constant calibrated for unit-norm inliers and sphere outliers.
@@ -81,6 +81,8 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
         If fewer than two points are supplied.
     ConfigError
         If ``c`` is not finite and positive.
+    NonFinite
+        If the raw inner products overflow.
     """
     if points.N < 2:
         raise TooFewPoints(f"outlier detection needs >= 2 points, got {points.N}")
@@ -91,5 +93,7 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
     for start, C in correlation_blocks(points.data, normalize=False):
         np.fill_diagonal(C[:, start:], -np.inf)
         scores[start:start + C.shape[0]] = C.max(axis=1)
+    if not np.all(np.isfinite(scores)):
+        raise NonFinite("raw inner products overflow to NaN or Inf; rescale the points")
     threshold = c * math.sqrt(math.log(N)) / math.sqrt(m)
     return OutlierReport(scores=scores, threshold=threshold, flags=scores < threshold)

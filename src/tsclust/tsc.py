@@ -2,9 +2,9 @@
 spherical pseudo-distance, turn the retained correlations into edge weights,
 symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
-largest eigenvalue gap of the Laplacian spectrum.  Neighbor selection and
-the ``exp`` weights read their correlations from the one blocked |X^T X|
-kernel, :func:`tsclust.geometry.correlation_blocks`.
+largest eigenvalue gap of the Laplacian spectrum.  Neighbor selection is
+the one pass over the |X^T X| kernel, :func:`~tsclust.geometry.correlation_blocks`;
+the ``exp`` weights read the correlations it picked (:class:`Neighbors`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, QTooLarge, TooFewPoints
+from .errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
 from .geometry import PointSet, correlation_blocks, normalize_columns, write_csv
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
@@ -65,15 +65,25 @@ class TscConfig:
 
 
 @dataclass(frozen=True)
+class Neighbors:
+    """Row j of the (N, q) ``index`` holds the neighbors of point j in
+    descending ``|corr|`` order, ties by index; row j of ``corr`` holds their
+    correlations (raw inner products if selected without normalization)."""
+
+    index: np.ndarray
+    corr: np.ndarray
+
+
+@dataclass(frozen=True)
 class NeighborGraph:
-    """Per-point neighbor index lists, the weight matrix Z (column j supported
-    on the neighbors of point j), and the symmetric adjacency A = Z + Z^T.
+    """The :class:`Neighbors` it was built from (or ``None``), the weight matrix
+    Z (column j supported on the neighbors of point j), and A = Z + Z^T.
 
     ``Z`` and ``A`` are ``scipy.sparse.csr_array`` of shape (N, N) that store
     at most qN and 2qN entries; call ``.toarray()`` for a dense copy.
     """
 
-    neighbor_sets: list[np.ndarray]
+    neighbor_sets: Neighbors | None
     Z: sparse.csr_array
     A: sparse.csr_array
 
@@ -125,9 +135,9 @@ def default_q(n: int, L_known: bool) -> int:
     return q if L_known else 2 * q
 
 
-def _top_q(C: np.ndarray, q: int) -> np.ndarray:
+def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``C``, the q column indices of largest value in descending
-    order, ties going to the lower index (``C`` has no NaN)."""
+    order (ties to the lower index, NaN above all) and those values."""
     top = np.argpartition(C, C.shape[1] - q, axis=1)[:, -q:]
     top.sort(axis=1)
     vals = np.take_along_axis(C, top, axis=1)
@@ -140,80 +150,77 @@ def _top_q(C: np.ndarray, q: int) -> np.ndarray:
         top[b] = np.sort(cand)
         vals[b] = C[b, top[b]]
     order = np.argsort(-vals, axis=1, kind="stable")
-    return np.take_along_axis(top, order, axis=1)
+    return np.take_along_axis(top, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> list[np.ndarray]:
+def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighbors:
     """For each point j, the q indices i != j with largest absolute
-    correlation, in descending correlation order; ties go to the lower index.
+    correlation, in descending order (ties go to the lower index), and
+    those correlations.
 
-    Correlations come from :func:`~tsclust.geometry.correlation_blocks`; no
-    N x N matrix is formed.  Without ``normalize`` the raw absolute inner
+    This is the one pass over :func:`~tsclust.geometry.correlation_blocks`;
+    no N x N matrix is formed.  Without ``normalize`` the raw absolute inner
     products are ranked as they are, values above 1 included.
 
     Raises
     ------
     QTooLarge
         If ``q > N - 1``.
+    NonFinite
+        If raw inner products (without ``normalize``) overflow.
     """
     N = points.N
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
-    neighbors = []
+    picks = []
     for start, C in correlation_blocks(points.data, normalize):
         np.fill_diagonal(C[:, start:], -1.0)
-        neighbors.extend(_top_q(C, q))
-    return neighbors
+        picks.append(_top_q(C, q))
+    index, corr = (np.concatenate(part) for part in zip(*picks))
+    if not np.all(np.isfinite(corr)):  # a row's NaN or inf is among its picks
+        raise NonFinite("raw inner products overflow to NaN or Inf; normalize the points")
+    return Neighbors(index, corr)
 
 
 def compute_weights(
     points: PointSet,
-    neighbors: list[np.ndarray],
+    neighbors: Neighbors,
     weight_variant: str = "exp",
     normalize: bool = True,
 ) -> sparse.csr_array:
     """Column-j weights on the neighbor set of point j, as an N x N CSR array.
 
-    ``"exp"``: ``exp(-2 arccos min(|corr(x_j, x_i)|, 1))``, with the
-    correlations taken from the same blocked kernel as :func:`select_neighbors`
-    (raw inner products, without ``normalize``, can exceed 1).
-    ``"ls"``: absolute values of the minimum-norm least-squares coefficients
-    expressing ``x_j`` in the columns indexed by its neighbor set (raw
-    columns as provided; pass pre-normalized points for
-    correlation-equivalent behavior).
+    ``"exp"``: ``exp(-2 arccos min(|corr|, 1))`` over the correlations that
+    came with the neighbors (raw inner products can exceed 1), so
+    ``normalize`` has no effect.  ``"ls"``: absolute values of the
+    minimum-norm least-squares coefficients expressing ``x_j`` in the columns
+    indexed by its neighbor set (raw columns as provided; pass pre-normalized
+    points for correlation-equivalent behavior).
     """
     if weight_variant not in WEIGHT_VARIANTS:
         raise ConfigError(f"unknown weight variant {weight_variant!r}")
     X = points.data
-    N = points.N
-    if len(neighbors) != N:
-        raise ValueError(f"{len(neighbors)} neighbor sets for {N} points")
-    sizes = [len(idx) for idx in neighbors]
-    rows = np.concatenate(neighbors).astype(np.intp, copy=False)
-    cols = np.repeat(np.arange(N), sizes)
+    N, q = neighbors.index.shape
+    if N != points.N:
+        raise ValueError(f"{N} neighbor sets for {points.N} points")
+    rows = neighbors.index.ravel()
+    cols = np.repeat(np.arange(N), q)
     if weight_variant == "exp":
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        corr = np.empty(rows.size)
-        for start, C in correlation_blocks(X, normalize):
-            lo, hi = offsets[start], offsets[start + C.shape[0]]
-            corr[lo:hi] = C[cols[lo:hi] - start, rows[lo:hi]]
-        weights = np.exp(-2.0 * np.arccos(np.minimum(corr, 1.0, out=corr)))
+        weights = np.exp(-2.0 * np.arccos(np.minimum(neighbors.corr.ravel(), 1.0)))
     else:
         weights = np.concatenate(
-            [np.abs(least_squares(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors)]
+            [np.abs(least_squares(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors.index)]
         )
     return sparse.csr_array((weights, (rows, cols)), shape=(N, N))
 
 
-def assemble_adjacency(Z, neighbor_sets: list[np.ndarray] | None = None) -> NeighborGraph:
+def assemble_adjacency(Z, neighbor_sets: Neighbors | None = None) -> NeighborGraph:
     """Symmetrize the weight matrix into ``A = Z + Z^T``.
 
-    ``Z`` may be dense or sparse; the graph holds CSR ``Z`` and ``A``.  When
-    ``neighbor_sets`` is omitted they are reconstructed from the support
-    of each column (descending weight, ties by index); pass the original sets
-    to preserve selection order for weights that can be zero.
+    ``Z`` may be dense or sparse; the graph holds CSR ``Z`` and ``A`` and
+    keeps ``neighbor_sets`` as given.
     """
     Z = sparse.csr_array(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
@@ -222,14 +229,6 @@ def assemble_adjacency(Z, neighbor_sets: list[np.ndarray] | None = None) -> Neig
         raise ValueError("Z must be nonnegative")
     if np.any(Z.diagonal() != 0.0):
         raise ValueError("Z must have a zero diagonal")
-    if neighbor_sets is None:
-        by_column = Z.tocsc()
-        neighbor_sets = []
-        for j in range(Z.shape[1]):
-            span = slice(by_column.indptr[j], by_column.indptr[j + 1])
-            nz, w = by_column.indices[span], by_column.data[span]
-            nz, w = nz[w > 0.0], w[w > 0.0]
-            neighbor_sets.append(nz[np.argsort(-w, kind="stable")].astype(np.intp))
     A = (Z + Z.T).tocsr()
     return NeighborGraph(neighbor_sets=neighbor_sets, Z=Z, A=A)
 
@@ -335,9 +334,7 @@ def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
         raise TooFewPoints(f"need >= 2 points, got {points.N}")
     pts = normalize_columns(points) if config.correlation_normalize else points
     neighbors = select_neighbors(pts, config.q, normalize=config.correlation_normalize)
-    Z = compute_weights(
-        pts, neighbors, config.weight_variant, normalize=config.correlation_normalize
-    )
+    Z = compute_weights(pts, neighbors, config.weight_variant)
     graph = assemble_adjacency(Z, neighbors)
     L_sym = normalized_laplacian(graph.A)
     decomposition = sym_eig(L_sym)

@@ -118,6 +118,16 @@ class TestOutliersCommand:
         proc = run_cli("outliers", orthogonal_fixture, "--c", "huge", "--out", tmp_path / "o.csv")
         assert proc.returncode == 2
 
+    def test_overflowing_inner_products_exit_3(self, tmp_path, orthogonal_fixture):
+        huge = tmp_path / "huge.csv"
+        points = PointSet.from_csv(orthogonal_fixture)
+        PointSet(points.data * 1e160, points.labels).to_csv(huge)
+        out = tmp_path / "o.csv"
+        proc = run_cli("outliers", huge, "--out", out)
+        assert proc.returncode == 3, proc.stderr
+        assert "overflow" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
     def test_non_finite_or_nonpositive_c_exits_2(self, tmp_path, orthogonal_fixture, c):
         out = tmp_path / "o.csv"
@@ -193,6 +203,13 @@ class TestExperimentCommand:
         proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
         assert proc.returncode == 2
         assert "trials must be int" in proc.stderr
+
+    def test_null_needed_field_exits_2(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"scenario": "outliers", "n": None}))
+        proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "n must not be null" in proc.stderr
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -7,11 +7,11 @@ import pytest
 from tsclust.errors import ConfigError
 from tsclust.experiments import (
     ExperimentSpec,
-    format_cell,
     load_spec,
     run_experiment,
     trial_seed,
 )
+from tsclust.geometry import format_cell
 from tsclust.ingest import write_idx
 
 from test_ingest import synthetic_dataset
@@ -108,6 +108,14 @@ class TestLoadSpec:
     def test_well_typed_scalars_load(self, raw):
         spec = load_spec(raw)
         assert all(getattr(spec, k) == v for k, v in raw.items())
+
+    @pytest.mark.parametrize(
+        "scenario, field",
+        [("grid", "m"), ("intersect", "d"), ("outliers", "n"), ("noise-grid", "L")],
+    )
+    def test_null_for_needed_field_rejected(self, scenario, field):
+        with pytest.raises(ConfigError, match=f"^{field} must not be null"):
+            load_spec({"scenario": scenario, field: None})
 
     def test_huge_noise_checks_grid_fields(self):
         with pytest.raises(ConfigError):

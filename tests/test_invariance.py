@@ -1,7 +1,8 @@
 """Invariances TSC must have, property-tested: the clustering does not
-change when the points are permuted, when columns flip sign, or when each
+change when the points are permuted, when columns flip sign, when each
 column is scaled by its own power of ten (10^-300 up to 10^300, past the
-ranges where a plain Euclidean norm underflows or overflows)."""
+ranges where a plain Euclidean norm underflows or overflows), or when the
+ambient space is rotated by a Haar-random orthogonal matrix."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tsclust.geometry import PointSet
 from tsclust.metrics import clustering_error
-from tsclust.synth import orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_basis, orthogonal_ensemble, union_of_subspaces
 from tsclust.tsc import TscConfig, run_tsc
 
 N_PER = 30
@@ -70,4 +71,14 @@ def test_column_scaling(seed, variant, exponents):
     scale = 10.0 ** np.array(exponents, dtype=float)
     reference = run_tsc(points, config(variant))
     result = run_tsc(PointSet(points.data * scale), config(variant))
+    assert_same_clustering(reference, result)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, variant=VARIANTS, rotation_seed=st.integers(0, 2**32 - 1))
+def test_rotation(seed, variant, rotation_seed):
+    points = base_points(seed)
+    Q = haar_basis(24, 24, rotation_seed).basis
+    reference = run_tsc(points, config(variant))
+    result = run_tsc(PointSet(Q @ points.data), config(variant))
     assert_same_clustering(reference, result)

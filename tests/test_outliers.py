@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsclust.errors import ConfigError, TooFewPoints
+from tsclust.errors import ConfigError, NonFinite, TooFewPoints
 from tsclust.geometry import PointSet
 from tsclust.metrics import outlier_confusion
 from tsclust.outliers import NOISELESS_C, NOISY_C, detect_outliers
@@ -82,6 +82,13 @@ class TestDetectOutliers:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ConfigError):
             detect_outliers(PointSet(np.eye(3)), c=0.0)
+
+    def test_overflowing_inner_products_raise(self):
+        # The raw inner products of these points x1e160 overflow to inf.
+        gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=10), 50, seed=11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="overflow"):
+                detect_outliers(PointSet(gt.points.data * 1e160))
 
     def test_raw_inner_products_not_normalized(self):
         # Doubling one column doubles the scores it participates in.

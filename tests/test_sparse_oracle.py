@@ -291,12 +291,12 @@ class TestStagesMatchDense:
     def test_weights_bit_identical(self, variant):
         pts = normalize_columns(intersecting_input(6, n=60))
         neighbors = select_neighbors(pts, 7)
-        for a, b in zip(neighbors, dense_neighbors(pts.data, 7)):
+        for a, b in zip(neighbors.index, dense_neighbors(pts.data, 7)):
             np.testing.assert_array_equal(a, b)
         Z = compute_weights(pts, neighbors, variant)
         assert sparse.issparse(Z) and Z.format == "csr"
         C = dense_abs_correlations(pts.data)
-        for j, idx in enumerate(neighbors):
+        for j, idx in enumerate(neighbors.index):
             col = Z[:, [j]].toarray().ravel()
             if variant == "exp":
                 np.testing.assert_array_equal(col[idx], np.exp(-2.0 * np.arccos(C[idx, j])))
@@ -344,7 +344,9 @@ class TestNeighborTiesAcrossBlocks:
             expected = dense_neighbors(points.data, q)
             got = select_neighbors(points, q)
             for j in range(N):
-                np.testing.assert_array_equal(got[j], expected[j])
+                np.testing.assert_array_equal(got.index[j], expected[j])
+                # The correlations come with the neighbors, bit for bit.
+                np.testing.assert_array_equal(got.corr[j], C[got.index[j], j])
                 kth = C[expected[j][-1], j]
                 tied_at_q += int(np.count_nonzero(C[:, j] == kth) > np.count_nonzero(
                     C[expected[j], j] == kth))
@@ -354,7 +356,7 @@ class TestNeighborTiesAcrossBlocks:
     def test_duplicates_in_other_block_come_first_by_index(self, monkeypatch):
         monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 2)
         X = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
-        sets = select_neighbors(PointSet(X), 3)
+        sets = select_neighbors(PointSet(X), 3).index
         # Point 5 duplicates points 0, 2 and 3, which sit in earlier blocks.
         assert sets[5].tolist() == [0, 2, 3]
         assert sets[0].tolist() == [2, 3, 5]

@@ -291,7 +291,7 @@ class TestRotationalInvariance:
         G1 = np.abs(X.T @ X)
         G2 = np.abs(QX.T @ QX)
         assert np.max(np.abs(G1 - G2)) < 1e-12
-        a = select_neighbors(PointSet(X), 5)
-        b = select_neighbors(PointSet(QX), 5)
+        a = select_neighbors(PointSet(X), 5).index
+        b = select_neighbors(PointSet(QX), 5).index
         for sa, sb in zip(a, b):
             assert sa.tolist() == sb.tolist()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tsclust import tsc
 from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
@@ -41,7 +42,7 @@ def three_block_adjacency(sizes=(5, 7, 6), seed=0):
 class TestSelectNeighbors:
     def test_tie_broken_by_lower_index(self):
         X = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        sets = select_neighbors(PointSet(X), 1)
+        sets = select_neighbors(PointSet(X), 1).index
         assert sets[0].tolist() == [1]
         assert sets[1].tolist() == [0]
         # Point 3 is orthogonal to both others: tie resolved to index 0.
@@ -49,7 +50,7 @@ class TestSelectNeighbors:
 
     def test_antipodal_counts_as_closest(self):
         X = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        sets = select_neighbors(PointSet(X), 1)
+        sets = select_neighbors(PointSet(X), 1).index
         assert sets[0].tolist() == [1]
 
     def test_q_too_large(self):
@@ -62,7 +63,7 @@ class TestSelectNeighbors:
         X = rng.standard_normal((8, 30))
         ps = normalize_columns(PointSet(X))
         C = np.abs(ps.data.T @ ps.data)
-        for j, idx in enumerate(select_neighbors(ps, 5)):
+        for j, idx in enumerate(select_neighbors(ps, 5).index):
             vals = C[idx, j]
             assert np.all(np.diff(vals) <= 1e-12)
             assert j not in idx
@@ -70,8 +71,8 @@ class TestSelectNeighbors:
     def test_unnormalized_input_matches_normalized(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((6, 20)) * rng.uniform(0.1, 10.0, size=20)
-        raw = select_neighbors(PointSet(X), 4)
-        unit = select_neighbors(normalize_columns(PointSet(X)), 4)
+        raw = select_neighbors(PointSet(X), 4).index
+        unit = select_neighbors(normalize_columns(PointSet(X)), 4).index
         for a, b in zip(raw, unit):
             assert a.tolist() == b.tolist()
 
@@ -100,7 +101,7 @@ class TestComputeWeights:
         ps = normalize_columns(PointSet(rng.standard_normal((10, 25))))
         sets = select_neighbors(ps, 4)
         Z = compute_weights(ps, sets, weight_variant="ls").toarray()
-        for j, idx in enumerate(sets):
+        for j, idx in enumerate(sets.index):
             support = set(np.flatnonzero(Z[:, j]).tolist())
             assert support == set(idx.tolist())
             assert np.all(Z[:, j] >= 0.0)
@@ -216,12 +217,22 @@ class TestSpectralCluster:
 
 class TestRunTsc:
     @pytest.mark.parametrize("variant", ["exp", "ls"])
-    def test_orthogonal_subspaces_exact(self, variant):
+    def test_orthogonal_subspaces_exact(self, monkeypatch, variant):
         bases = orthogonal_ensemble(30, 3, 5, seed=10)
         gt = union_of_subspaces(bases, 50, seed=11)
         config = TscConfig(q=5, weight_variant=variant, num_subspaces=3, seed=0)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            yield from kernel(*args, **kwargs)
+
+        kernel = tsc.correlation_blocks
+        monkeypatch.setattr(tsc, "correlation_blocks", counted)
         result = run_tsc(gt.points, config)
         assert clustering_error(gt.points.labels, result.labels) == 0.0
+        # The weights read the correlations the selection picked.
+        assert len(passes) == 1
 
     def test_single_subspace_known_one(self):
         bases = orthogonal_ensemble(10, 1, 3, seed=1)
@@ -270,7 +281,7 @@ class TestRunTsc:
         config = TscConfig(q=4, num_subspaces=2, seed=1)
         a = run_tsc(PointSet(X), config)
         b = run_tsc(PointSet(X * 4.0), config)
-        for sa, sb in zip(a.graph.neighbor_sets, b.graph.neighbor_sets):
+        for sa, sb in zip(a.graph.neighbor_sets.index, b.graph.neighbor_sets.index):
             np.testing.assert_array_equal(sa, sb)
         np.testing.assert_array_equal(a.graph.Z.toarray(), b.graph.Z.toarray())
         np.testing.assert_array_equal(a.labels, b.labels)
@@ -307,7 +318,7 @@ class TestRunTsc:
         rng = np.random.default_rng(60)
         ps = PointSet(rng.standard_normal((12, 30)))
         result = run_tsc(ps, TscConfig(q=5, weight_variant="ls", num_subspaces=2))
-        for j, idx in enumerate(result.graph.neighbor_sets):
+        for j, idx in enumerate(result.graph.neighbor_sets.index):
             assert set(np.flatnonzero(result.graph.Z.toarray()[:, j])) == set(idx.tolist())
 
 
@@ -336,6 +347,23 @@ class TestBadInput:
             np.testing.assert_array_equal(scaled.labels, plain.labels)
             assert clustering_error(gt.points.labels, scaled.labels) == 0.0
 
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    def test_overflowing_raw_inner_products_raise(self, variant):
+        # Unnormalized, the inner products of these points x1e160 overflow
+        # to inf (and inf - inf to NaN inside the GEMM, which numpy may warn
+        # about); the selection names the overflow.
+        gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=10), 50, seed=11)
+        points = PointSet(gt.points.data * 1e160)
+        config = TscConfig(q=5, weight_variant=variant, correlation_normalize=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="overflow"):
+                select_neighbors(points, 5, normalize=False)
+            with pytest.raises(NonFinite, match="overflow"):
+                run_tsc(points, config)
+        # Normalized, the same points cluster.
+        result = run_tsc(points, TscConfig(q=5, weight_variant=variant, num_subspaces=3))
+        assert clustering_error(gt.points.labels, result.labels) == 0.0
+
     @pytest.mark.parametrize("every", [1, 2])
     def test_overflowing_columns_in_kernel_keep_neighbors_and_weights(self, every):
         # Normalizing inside the correlation kernel: at 2^600 the plain norms
@@ -354,7 +382,7 @@ class TestBadInput:
             with np.errstate(over="raise", invalid="raise"):
                 got = select_neighbors(scaled, 5)
                 Z = compute_weights(scaled, got).toarray()
-            for a, b in zip(got, expected):
+            for a, b in zip(got.index, expected.index):
                 np.testing.assert_array_equal(a, b)
             if np.frexp(scale)[0] == 0.5:
                 np.testing.assert_array_equal(Z, Z_expected)
@@ -424,7 +452,7 @@ class TestEdgePaths:
         np.fill_diagonal(C, -1.0)
         order = np.argsort(-C, axis=0, kind="stable")
         got = select_neighbors(PointSet(X), 5, normalize=False)
-        for j, idx in enumerate(got):
+        for j, idx in enumerate(got.index):
             np.testing.assert_array_equal(idx, order[:5, j])
 
     def test_max_L_caps_estimate(self):

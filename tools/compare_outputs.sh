@@ -1,0 +1,92 @@
+#!/usr/bin/env bash
+# Byte-identity check of the CLI and experiment outputs of two source trees.
+#
+# Usage: tools/compare_outputs.sh OLD_SRC NEW_SRC [WORK_DIR]
+#
+# Runs one fixed set of `gen`, `cluster`, `outliers` and `experiment`
+# commands with the `tsclust` package found in each `src/` tree, writing to
+# WORK_DIR/old and WORK_DIR/new (default: a fresh temporary directory), and
+# compares the two with `diff -r`.  Experiment manifests are compared with
+# their wall-clock `trial_seconds` removed.  Exits 0 when every output is
+# byte-identical, 1 when some differ.  Takes a few minutes on one core.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  echo "usage: $0 OLD_SRC NEW_SRC [WORK_DIR]" >&2
+  exit 2
+fi
+old_src=$(cd "$1" && pwd)
+new_src=$(cd "$2" && pwd)
+work=${3:-$(mktemp -d)}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+
+# One BLAS thread, as in the benchmark, so both trees see the same sums.
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+unset TSC_SEED
+
+run_all() {
+  local src=$1 out=$2
+  rm -rf "$out"
+  mkdir -p "$out"
+  cd "$out"
+  tsc() { PYTHONPATH="$src" python3 -m tsclust "$@" > /dev/null; }
+
+  tsc gen --out plain --m 30 --d 5 --L 3 --n 40 --seed 12
+  tsc gen --out pair --m 20 --d 6 --t 2 --n 50 --seed 3
+  tsc gen --out shared --m 30 --d 6 --L 3 --n 40 --shared --sigma2 0.1 --s 2 --seed 4
+  tsc gen --out gauss --m 40 --d 4 --L 3 --n 30 --outliers 40 --outlier-mode gaussian \
+    --sigma2 0.2 --seed 5
+
+  local variant input
+  for variant in exp ls; do
+    for input in plain shared; do
+      tsc cluster "$input.csv" --q 6 --variant "$variant" --out-edges "$input-$variant.edges.csv" \
+        --out-labels "$input-$variant.labels.csv" --out-json "$input-$variant.result.json"
+      tsc cluster "$input.csv" --q 6 --variant "$variant" --no-normalize \
+        --out-edges "$input-$variant-raw.edges.csv" \
+        --out-labels "$input-$variant-raw.labels.csv" --out-json "$input-$variant-raw.result.json"
+    done
+    tsc cluster pair.csv --q 5 --variant "$variant" --L 2 --out-edges "pair-$variant.edges.csv" \
+      --out-labels "pair-$variant.labels.csv" --out-json "pair-$variant.result.json"
+  done
+
+  tsc outliers plain.csv --out plain.outliers.csv
+  tsc outliers gauss.csv --c noisy --out gauss.outliers.csv
+
+  local spec name
+  for spec in \
+    'grid-exp {"scenario": "grid", "trials": 2, "seed": 1}' \
+    'grid-ls {"scenario": "grid", "trials": 2, "seed": 1, "variant": "ls"}' \
+    'intersect {"scenario": "intersect", "trials": 2, "seed": 2}' \
+    'noise-grid {"scenario": "noise-grid", "trials": 2, "seed": 3}' \
+    'huge-noise {"scenario": "huge-noise", "trials": 2, "seed": 4}' \
+    'outliers {"scenario": "outliers", "trials": 2, "seed": 5}' \
+    'outliers-noisy {"scenario": "outliers", "trials": 2, "seed": 6, "sigma2": 0.1}'; do
+    name=${spec%% *}
+    echo "${spec#* }" > "$name.spec.json"
+    tsc experiment "$name.spec.json" --out "$name.csv" --per-trial "$name.trials.csv"
+    python3 - "$name.csv.manifest.json" <<'PY'
+import json, sys
+path = sys.argv[1]
+with open(path) as fh:
+    manifest = json.load(fh)
+for cell in manifest["cells"]:
+    del cell["trial_seconds"]
+with open(path, "w") as fh:
+    json.dump(manifest, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+PY
+  done
+  cd - > /dev/null
+}
+
+run_all "$old_src" "$work/old"
+run_all "$new_src" "$work/new"
+count=$(find "$work/new" -type f | wc -l)
+if diff -r "$work/old" "$work/new"; then
+  echo "all $count outputs byte-identical ($work)"
+else
+  echo "outputs differ ($work)" >&2
+  exit 1
+fi
