@@ -335,14 +335,14 @@ _SCENARIOS = {
         axes=(("t", "t_values", int),),
         trial=_trial_intersect,
         check=_check_intersect,
-        needs=("m", "d", "n"),
+        needs=("m", "d", "n", "L_known"),
     ),
     "grid": Scenario(
         defaults=dict(m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200)),
         axes=(("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L"),
+        needs=("m", "L", "L_known"),
         copied=("s",),
     ),
     "noise-grid": Scenario(
@@ -353,14 +353,14 @@ _SCENARIOS = {
         axes=(("sigma2", "sigma2_values", float), ("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L"),
+        needs=("m", "L", "L_known"),
     ),
     "huge-noise": Scenario(
         defaults=dict(m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0)),
         axes=(("sigma2", "sigma2_values", float), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L", "d"),
+        needs=("m", "L", "d", "L_known"),
     ),
     "outliers": Scenario(
         defaults=dict(d=5, n=50, m_values=(50, 100, 200), L_known=True),
@@ -380,6 +380,7 @@ _SCENARIOS = {
         axes=(("n", "n_values", int),),
         trial=_trial_mnist,
         check=_check_mnist,
+        needs=("L_known",),
         summary=(("ce_mean", "mean", "ce"), ("ce_std", "std", "ce")),
     ),
 }

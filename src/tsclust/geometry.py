@@ -7,7 +7,8 @@ angles between them.  Whatever divides by column norms first rescales the
 columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
 The blocked |X^T X| kernel :func:`correlation_blocks` serves neighbor
 selection (whose picks carry the ``exp`` weights' correlations) and the
-outlier scores, and every CSV the package writes goes through :func:`write_csv`.
+outlier scores, which read only its upper strips and so each inner product
+once; every CSV the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -175,29 +176,37 @@ def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
     return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
 
 
-def correlation_blocks(X: np.ndarray, normalize: bool):
+def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
     """Yield ``(start, C)`` over blocks of ``CORRELATION_BLOCK`` points,
-    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i.
+    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i,
+    or, with ``upper``, for every point ``i >= start`` only (column ``k`` of
+    ``C`` is then point ``start + k``).
 
     With ``normalize`` these are correlations in [0, 1], taken from columns
     rescaled by :func:`power_of_two_scaled` so no norm overflows or
     underflows (a zero column correlates 0 with all).  Without it the raw
     absolute inner products pass through unclamped and can exceed 1, or
-    overflow.  Its two callers, :func:`tsclust.tsc.select_neighbors` and
-    :func:`tsclust.outliers.detect_outliers`, each make one pass.
+    overflow to inf or NaN, which the callers check for.  Its two callers
+    each make one pass: :func:`tsclust.tsc.select_neighbors` reads full rows,
+    and :func:`tsclust.outliers.detect_outliers` reads the upper strips, so
+    it computes each inner product once.
     """
     N = X.shape[1]
     if normalize:
         X = power_of_two_scaled(X)
         norms = np.linalg.norm(X, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
+    # Raw products may overflow, which the callers report; numpy need not warn.
+    quiet = {} if normalize else dict(over="ignore", invalid="ignore")
     for start in range(0, N, CORRELATION_BLOCK):
         stop = min(start + CORRELATION_BLOCK, N)
-        C = X[:, start:stop].T @ X
-        np.abs(C, out=C)
+        first = start if upper else 0
+        with np.errstate(**quiet):
+            C = X[:, start:stop].T @ X[:, first:]
+            np.abs(C, out=C)
         if normalize:
             C /= norms[start:stop, None]
-            C /= norms[None, :]
+            C /= norms[None, first:]
             np.minimum(C, 1.0, out=C)
         yield start, C
 

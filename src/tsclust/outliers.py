@@ -6,7 +6,8 @@ log).  Scores use the raw inner products, not correlation-normalized ones:
 the calibration of the two reference constants assumes the stated point
 models, and renormalizing would shift the threshold.  The scores come from
 the blocked |X^T X| kernel that neighbor selection uses,
-:func:`tsclust.geometry.correlation_blocks`, read unnormalized and unclamped.
+:func:`tsclust.geometry.correlation_blocks`, read unnormalized and unclamped
+and only in its upper strips, so each inner product is computed once.
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -89,11 +90,26 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
     if not (math.isfinite(c) and c > 0.0):
         raise ConfigError(f"c must be finite and positive, got {c}")
     m, N = points.data.shape
-    scores = np.empty(N)
-    for start, C in correlation_blocks(points.data, normalize=False):
-        np.fill_diagonal(C[:, start:], -np.inf)
-        scores[start:start + C.shape[0]] = C.max(axis=1)
+    scores = _max_abs_inner_products(points.data)
     if not np.all(np.isfinite(scores)):
         raise NonFinite("raw inner products overflow to NaN or Inf; rescale the points")
     threshold = c * math.sqrt(math.log(N)) / math.sqrt(m)
     return OutlierReport(scores=scores, threshold=threshold, flags=scores < threshold)
+
+
+def _max_abs_inner_products(X: np.ndarray) -> np.ndarray:
+    """Each point's largest ``|<x_i, x_j>|`` over ``j != i``, NaN if any is.
+
+    Strip rows ``start:stop`` hold the products with points ``j >= start``
+    only: their row max covers the strip's own points, and their column max
+    right of the diagonal block the later points, so each product is read
+    once.  ``np.maximum``, unlike ``np.fmax``, keeps a NaN.
+    """
+    scores = np.full(X.shape[1], -np.inf)
+    for start, C in correlation_blocks(X, normalize=False, upper=True):
+        b = C.shape[0]
+        np.fill_diagonal(C, -np.inf)
+        own, later = scores[start:start + b], scores[start + b:]
+        np.maximum(own, C.max(axis=1), out=own)
+        np.maximum(later, C[:, b:].max(axis=0), out=later)
+    return scores

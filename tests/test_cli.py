@@ -125,7 +125,8 @@ class TestOutliersCommand:
         out = tmp_path / "o.csv"
         proc = run_cli("outliers", huge, "--out", out)
         assert proc.returncode == 3, proc.stderr
-        assert "overflow" in proc.stderr
+        # The error line alone: numpy's own overflow warning does not precede it.
+        assert len(proc.stderr.splitlines()) == 1 and "overflow" in proc.stderr, proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
@@ -316,6 +317,16 @@ class TestClusterFlags:
             "--out-labels", tmp_path / "l.csv", "--out-json", tmp_path / "r.json",
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_normalize_overflow_exits_3_with_one_line(self, tmp_path, orthogonal_fixture):
+        # Raw inner products of the points x1e160 overflow; stderr holds the
+        # error line alone, without numpy's own overflow warning before it.
+        huge = tmp_path / "huge.csv"
+        points = PointSet.from_csv(orthogonal_fixture)
+        PointSet(points.data * 1e160, points.labels).to_csv(huge)
+        proc = run_cli("cluster", huge, "--q", 5, "--L", 3, "--no-normalize")
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "overflow" in proc.stderr, proc.stderr
 
     def test_bad_L_value_exits_2(self, orthogonal_fixture):
         proc = run_cli("cluster", orthogonal_fixture, "--q", 5, "--L", "many")

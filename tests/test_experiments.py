@@ -100,7 +100,7 @@ class TestLoadSpec:
         [
             {"scenario": "grid", "sigma2": 0},
             {"scenario": "outliers", "outlier_factor": 2, "sigma2": 0.1},
-            {"scenario": "grid", "q": None, "max_L": None, "L_known": None},
+            {"scenario": "grid", "q": None, "max_L": None},
             {"scenario": "intersect", "L_known": True, "noise_first": False, "s": 0},
         ],
         ids=["int-sigma2", "int-factor", "nulls", "bools"],
@@ -111,7 +111,8 @@ class TestLoadSpec:
 
     @pytest.mark.parametrize(
         "scenario, field",
-        [("grid", "m"), ("intersect", "d"), ("outliers", "n"), ("noise-grid", "L")],
+        [("grid", "m"), ("intersect", "d"), ("outliers", "n"), ("noise-grid", "L")]
+        + [(s, "L_known") for s in ("intersect", "grid", "noise-grid", "huge-noise", "mnist")],
     )
     def test_null_for_needed_field_rejected(self, scenario, field):
         with pytest.raises(ConfigError, match=f"^{field} must not be null"):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from tsclust import geometry
 from tsclust.errors import ConfigError, NonFinite, TooFewPoints
 from tsclust.geometry import PointSet
 from tsclust.metrics import outlier_confusion
-from tsclust.outliers import NOISELESS_C, NOISY_C, detect_outliers
+from tsclust.outliers import NOISELESS_C, NOISY_C, _max_abs_inner_products, detect_outliers
 from tsclust.synth import orthogonal_ensemble, union_of_subspaces
 
 
@@ -83,12 +84,26 @@ class TestDetectOutliers:
         with pytest.raises(ConfigError):
             detect_outliers(PointSet(np.eye(3)), c=0.0)
 
-    def test_overflowing_inner_products_raise(self):
-        # The raw inner products of these points x1e160 overflow to inf.
+    def test_overflowing_inner_products_raise(self, monkeypatch):
+        # The raw inner products of these points x1e160 overflow to inf, and
+        # numpy does not warn about it (pytest turns RuntimeWarning into errors).
         gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=10), 50, seed=11)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite, match="overflow"):
-                detect_outliers(PointSet(gt.points.data * 1e160))
+        with pytest.raises(NonFinite, match="overflow"):
+            detect_outliers(PointSet(gt.points.data * 1e160))
+        # Point 3's only overflowing partner is point 0, in an earlier strip:
+        # <x_0, x_3> = 1e320 - 1e320 is inf or NaN (as the BLAS sums it), and
+        # point 3's row (j >= 2) is finite, so the fault reaches its score
+        # through the column max only.
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 2)
+        X = np.array([[1e160, 1.0, 0.0, 1e160, 1.0], [1e160, 0.0, 1.0, -1e160, 1.0]])
+        scores = _max_abs_inner_products(X)
+        assert not np.isfinite(scores[0]) and not np.isfinite(scores[3])
+        np.testing.assert_array_equal(scores[[1, 2, 4]], [1e160, 1e160, 2e160])
+        with pytest.raises(NonFinite, match="overflow"):
+            detect_outliers(PointSet(X))
+        # A NaN partner in an earlier strip is kept, not dropped as fmax would.
+        X[0, 0] = np.nan
+        assert np.all(np.isnan(_max_abs_inner_products(X)))
 
     def test_raw_inner_products_not_normalized(self):
         # Doubling one column doubles the scores it participates in.
@@ -117,23 +132,29 @@ class TestDetectionQuality:
             errs.append(err)
         assert float(np.mean(errs)) <= 0.01
 
-    def test_chunking_consistency(self):
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_chunking_consistency(self, monkeypatch, block):
         # Scores must not depend on the internal block size.
-        from tsclust import geometry
-
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 63))
         full = detect_outliers(PointSet(X))
-        original = geometry.CORRELATION_BLOCK
-        try:
-            geometry.CORRELATION_BLOCK = 7
-            blocked = detect_outliers(PointSet(X))
-        finally:
-            geometry.CORRELATION_BLOCK = original
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", block)
+        blocked = detect_outliers(PointSet(X))
         # Different GEMM shapes change the BLAS summation order, so agreement
         # is to rounding, not bitwise.
         np.testing.assert_allclose(blocked.scores, full.scores, atol=1e-12)
         np.testing.assert_array_equal(blocked.flags, full.flags)
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 9, 63])
+    def test_strips_match_dense_oracle_exactly(self, monkeypatch, N):
+        # Small integers make every inner product exact whatever the BLAS
+        # sums in which order.  With 8-point strips, N = 2, 3 and 8 are one
+        # strip, N = 9 ends in a one-point strip and N = 63 in a partial one.
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 8)
+        X = np.random.default_rng(N).integers(-4, 5, size=(6, N)).astype(float)
+        dense = np.abs(X.T @ X)
+        np.fill_diagonal(dense, -np.inf)
+        np.testing.assert_array_equal(detect_outliers(PointSet(X)).scores, dense.max(axis=1))
 
 
 class TestReportCsv:

@@ -350,16 +350,15 @@ class TestBadInput:
     @pytest.mark.parametrize("variant", ["exp", "ls"])
     def test_overflowing_raw_inner_products_raise(self, variant):
         # Unnormalized, the inner products of these points x1e160 overflow
-        # to inf (and inf - inf to NaN inside the GEMM, which numpy may warn
-        # about); the selection names the overflow.
+        # to inf (and inf - inf to NaN inside the GEMM); the selection names
+        # the overflow, and numpy does not warn first.
         gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=10), 50, seed=11)
         points = PointSet(gt.points.data * 1e160)
         config = TscConfig(q=5, weight_variant=variant, correlation_normalize=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite, match="overflow"):
-                select_neighbors(points, 5, normalize=False)
-            with pytest.raises(NonFinite, match="overflow"):
-                run_tsc(points, config)
+        with pytest.raises(NonFinite, match="overflow"):
+            select_neighbors(points, 5, normalize=False)
+        with pytest.raises(NonFinite, match="overflow"):
+            run_tsc(points, config)
         # Normalized, the same points cluster.
         result = run_tsc(points, TscConfig(q=5, weight_variant=variant, num_subspaces=3))
         assert clustering_error(gt.points.labels, result.labels) == 0.0
