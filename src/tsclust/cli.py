@@ -30,7 +30,7 @@ from .ingest import load_idx, remove_top_principal_components, singular_value_pr
 from .numerics import derive_seed
 from .outliers import detect_outliers, threshold_constant
 from .synth import haar_ensemble, intersecting_pair, shared_intersection_ensemble, union_of_subspaces
-from .tsc import ClusterResult, TscConfig, run_tsc
+from .tsc import DEFAULT_MAX_L, ClusterResult, TscConfig, run_tsc
 
 
 def _env_seed(seed: int) -> int:
@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="neighbor count")
     p.add_argument("--variant", choices=("exp", "ls"), default="exp")
     p.add_argument("--L", default="estimate", help="cluster count, or 'estimate'")
-    p.add_argument("--max-L", type=int, default=None, help="cap for the eigengap search")
+    p.add_argument("--max-L", type=int, default=None,
+                   help="cap for the eigengap search, which sizes the computed spectrum "
+                   f"(default {DEFAULT_MAX_L})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-iter", type=int, default=100)

@@ -62,7 +62,8 @@ class ExperimentSpec:
     """One experiment: a scenario tag plus its resolved parameters.
 
     Unset fields take scenario defaults in :func:`load_spec`.  ``q = None``
-    applies the per-cluster-size default rule cell by cell.
+    applies the per-cluster-size default rule cell by cell; ``max_L = None``
+    caps the eigengap search at :data:`tsclust.tsc.DEFAULT_MAX_L`.
     """
 
     scenario: str

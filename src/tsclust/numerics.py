@@ -1,11 +1,12 @@
 """Numeric primitives: symmetric eigendecomposition (one connected component
-of the sparsity pattern at a time, eigenvalues first and eigenvectors on
-demand), minimum-norm least squares, seeded k-means, and sub-stream seed
-derivation.
+of the sparsity pattern at a time, a window of the smallest eigenvalues
+first and eigenvectors on demand), minimum-norm least squares, seeded
+k-means, and sub-stream seed derivation.
 
-The eigendecomposition and SVD are delegated to LAPACK (via scipy and
-numpy): each component is reduced to tridiagonal form once, which gives the
-whole spectrum and, later, any number of its smallest eigenvectors.  The
+The eigendecomposition and SVD are delegated to LAPACK and ARPACK (via scipy
+and numpy): a large component gets only its smallest eigenpairs from
+Lanczos; any other is reduced to tridiagonal form once, which gives its
+eigenvalues and, later, any number of its smallest eigenvectors.  The
 contracts here are the reconstruction/optimality invariants, not the
 algorithm.  k-means is implemented directly so that seeding, restart
 sub-streams, and tie-breaking are fully pinned down.
@@ -14,11 +15,13 @@ sub-streams, and tie-breaking are fully pinned down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InvalidK, NonFinite
 
@@ -26,6 +29,17 @@ _MASK64 = (1 << 64) - 1
 
 #: Relative singular-value cutoff for the minimum-norm least-squares solve.
 LSTSQ_RCOND = 1e-10
+
+#: A connected component gets its k smallest eigenpairs from Lanczos when it
+#: has more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * k`` nodes, and
+#: from a dense reduction otherwise.  The measured crossover on normalized
+#: q-NN Laplacians (one BLAS thread) lies near 250 nodes for k = 6, 500 for
+#: k = 51 and 900 for k = 101.
+LANCZOS_MIN_NODES = 200
+LANCZOS_NODES_PER_VALUE = 6
+
+#: Seed of the Lanczos start vector.
+LANCZOS_SEED = 0
 
 
 def _splitmix64(x: int) -> int:
@@ -59,13 +73,14 @@ def _lapack(routine, *args, **kwargs):
 
 
 @dataclass(frozen=True)
-class _Component:
+class _Tridiagonal:
     """One connected component of a symmetric matrix, reduced by ``dsytrd``
     (lower) to the tridiagonal ``T = Q^T M Q`` with diagonal ``d`` and
     off-diagonal ``e``.  ``Q`` is kept as Householder reflectors below the
     subdiagonal of ``reflectors`` with scales ``tau``.  ``nodes`` are the
-    component's global indices, ascending; ``columns`` the global position of
-    each of its eigenvalues, ascending with them."""
+    component's global indices, ascending; ``columns`` the global position,
+    among all components' computed eigenvalues, of each of its smallest
+    ones, ascending with them (positions past the window are not kept)."""
 
     nodes: np.ndarray
     columns: np.ndarray
@@ -92,16 +107,70 @@ class _Component:
 
 
 @dataclass(frozen=True)
+class _Lanczos:
+    """One connected component whose smallest eigenpairs came from ARPACK:
+    ``vectors`` holds the eigenvectors of its smallest eigenvalues, ascending
+    with them.  ``nodes`` and ``columns`` as for :class:`_Tridiagonal`."""
+
+    nodes: np.ndarray
+    columns: np.ndarray
+    vectors: np.ndarray
+
+    def smallest(self, k: int) -> np.ndarray:
+        """The eigenvectors of the block's k smallest eigenvalues (n x k)."""
+        return self.vectors[:, :k].copy()
+
+
+def _tridiagonal(block: sparse.csr_array, k: int):
+    """The k smallest eigenvalues of a block by dense reduction, and the
+    constructor of its :class:`_Tridiagonal`, which takes ``nodes`` and
+    ``columns``."""
+    n = block.shape[0]
+    (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
+    c, d, e, tau = _lapack(
+        "dsytrd", block.toarray(order="F"),
+        lower=1, lwork=max(1, int(lwork)), overwrite_a=1,
+    )
+    # dsterf needs n - 1 >= 1 off-diagonal entries; a 1 x 1 block is its value.
+    values = _lapack("dsterf", d, e)[0] if n > 1 else d.copy()
+    return values[:k], partial(_Tridiagonal, reflectors=c, tau=tau, d=d, e=e)
+
+
+def _lanczos(block: sparse.csr_array, k: int):
+    """The k smallest eigenvalues of a block by implicitly restarted Lanczos
+    (ARPACK, ``tol=0``: to machine precision) and the constructor of its
+    :class:`_Lanczos`, as for :func:`_tridiagonal`; ``None`` if ARPACK does
+    not converge.  The start vector is fixed, and not constant: a constant
+    vector is an eigenvector of a regular graph's Laplacian."""
+    v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, block.shape[0])
+    try:
+        values, vectors = eigsh(block, k=k, which="SA", tol=0, v0=v0)
+    except ArpackNoConvergence:
+        return None
+    order = np.argsort(values, kind="stable")
+    return values[order], partial(_Lanczos, vectors=vectors[:, order])
+
+
+def _uses_lanczos(n: int, k: int) -> bool:
+    """Whether a component of n nodes gets its k smallest eigenvalues from
+    Lanczos rather than from a dense reduction."""
+    return 0 < k < n - 1 and n > LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * k
+
+
+@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Spectrum of a symmetric matrix, eigenvalues ascending, with the
-    eigenvectors computed on demand from each component's tridiagonal form.
+    """The smallest eigenvalues of a symmetric matrix, ascending (all N of
+    them unless a window was asked for), with their eigenvectors computed on
+    demand from each component's solve.
 
     ``leading(k)`` holds the eigenvectors of ``eigenvalues[:k]``, column
-    ``i`` paired with ``eigenvalues[i]``; ``eigenvectors`` is ``leading(N)``.
+    ``i`` paired with ``eigenvalues[i]``; ``eigenvectors`` is
+    ``leading(eigenvalues.size)``.
     """
 
     eigenvalues: np.ndarray
-    components: tuple[_Component, ...]
+    components: tuple[_Tridiagonal | _Lanczos, ...]
+    N: int
 
     def leading(self, k: int) -> np.ndarray:
         """N x k matrix of the eigenvectors of the k smallest eigenvalues.
@@ -109,10 +178,9 @@ class SpectralDecomposition:
         Each component computes only the columns it owns among the first k;
         eigenvector ``i`` is supported on the component of eigenvalue ``i``.
         """
-        N = self.eigenvalues.size
-        if not 0 <= k <= N:
-            raise ValueError(f"k={k} outside [0, {N}]")
-        V = np.zeros((N, k))
+        if not 0 <= k <= self.eigenvalues.size:
+            raise ValueError(f"k={k} outside [0, {self.eigenvalues.size}]")
+        V = np.zeros((self.N, k))
         for block in self.components:
             owned = int(np.count_nonzero(block.columns < k))
             if owned:
@@ -121,8 +189,8 @@ class SpectralDecomposition:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """All N eigenvectors as an N x N matrix, column ``i`` paired with
-        ``eigenvalues[i]``."""
+        """The eigenvectors of all computed eigenvalues, N x
+        ``eigenvalues.size``, column ``i`` paired with ``eigenvalues[i]``."""
         return self.leading(self.eigenvalues.size)
 
 
@@ -141,32 +209,47 @@ class KMeansResult:
     inertia_history: tuple[float, ...]
 
 
-def sym_eig(A) -> SpectralDecomposition:
-    """Complete spectrum of a (numerically) symmetric real matrix, dense or
-    sparse, with its eigenvectors available on demand.
+def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
+    """The k smallest eigenvalues of a (numerically) symmetric real matrix,
+    dense or sparse, with their eigenvectors available on demand; the whole
+    spectrum when ``k`` is ``None``.
 
     The input is symmetrized as ``(A + A^T) / 2`` before factorization, so
     floating-point asymmetry up to the caller's tolerance is absorbed.  The
     symmetrized matrix is split into the connected components of its
-    nonzero pattern (a block-diagonal matrix up to a permutation).  Each
-    block is densified on its own and reduced once to tridiagonal form
-    (LAPACK ``dsytrd``), and ``dsterf`` gives all its eigenvalues; the
-    spectrum is therefore exact and complete, and a connected matrix is the
-    one-block case.  The N eigenvalues come out ascending, ties in component
-    order (components numbered by their lowest index).  No eigenvector is
-    computed here: :meth:`SpectralDecomposition.leading` computes the ones
-    it is asked for from the kept reductions.
+    nonzero pattern (a block-diagonal matrix up to a permutation), and each
+    block gives its own ``min(k, n_c)`` smallest eigenvalues:
+
+    - a block with more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * k``
+      nodes gets them, with their eigenvectors, from ARPACK's implicitly
+      restarted Lanczos (``eigsh``, smallest algebraic, ``tol=0``, a fixed
+      seeded start vector), or from the dense path if that does not converge;
+    - any other block is densified on its own and reduced once to
+      tridiagonal form (LAPACK ``dsytrd``), and ``dsterf`` gives its
+      eigenvalues; its eigenvectors come from that reduction on demand.
+
+    Without ``k`` every block takes the dense path, so the spectrum is
+    complete and a connected matrix is the one-block case.  The k smallest of
+    the blocks' eigenvalues come out ascending, ties in component order
+    (components numbered by their lowest index).
 
     Raises
     ------
     NonFinite
         If ``A`` contains NaN or Inf.
+    ValueError
+        If ``k`` is outside ``[0, N]``.
     numpy.linalg.LinAlgError
         If a LAPACK routine reports failure.
     """
     A = sparse.csr_array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    N = A.shape[0]
+    if k is None:
+        k = N
+    elif not 0 <= k <= N:
+        raise ValueError(f"k={k} outside [0, {N}]")
     if not np.all(np.isfinite(A.data)):
         raise NonFinite("matrix contains NaN or Inf")
     sym = ((A + A.T) / 2.0).tocsr()
@@ -177,26 +260,21 @@ def sym_eig(A) -> SpectralDecomposition:
     bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=count))))
     permuted = sym[nodes][:, nodes]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    reductions, values = [], []
+    solves = []
     for lo, hi in spans:
-        n = int(hi - lo)
-        (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
-        c, d, e, tau = _lapack(
-            "dsytrd", permuted[lo:hi, lo:hi].toarray(order="F"),
-            lower=1, lwork=max(1, int(lwork)), overwrite_a=1,
-        )
-        reductions.append((c, tau, d, e))
-        # dsterf needs n - 1 >= 1 off-diagonal entries; a 1 x 1 block is its value.
-        values.append(_lapack("dsterf", d, e)[0] if n > 1 else d.copy())
-    values = np.concatenate(values)
+        n, block = int(hi - lo), permuted[lo:hi, lo:hi]
+        solve = _lanczos(block, k) if _uses_lanczos(n, k) else None
+        solves.append(solve or _tridiagonal(block, min(k, n)))
+    values = np.concatenate([v for v, _ in solves])
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
+    starts = np.cumsum([0] + [v.size for v, _ in solves])
     components = tuple(
-        _Component(nodes[lo:hi], column[lo:hi], *reduction)
-        for (lo, hi), reduction in zip(spans, reductions)
+        make(nodes=nodes[lo:hi], columns=column[start:start + v.size])
+        for (lo, hi), start, (v, make) in zip(spans, starts, solves)
     )
-    return SpectralDecomposition(eigenvalues=values[order], components=components)
+    return SpectralDecomposition(eigenvalues=values[order[:k]], components=components, N=N)
 
 
 def least_squares(B: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -311,6 +389,8 @@ def kmeans(
         raise InvalidK(f"k={k} outside [1, {n}]")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     best: KMeansResult | None = None
     for r in range(restarts):
         rng = np.random.default_rng(derive_seed(seed, r))

@@ -2,7 +2,8 @@
 spherical pseudo-distance, turn the retained correlations into edge weights,
 symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
-largest eigenvalue gap of the Laplacian spectrum.  Neighbor selection is
+largest eigenvalue gap at the small end of the Laplacian spectrum, which is
+the only part computed (:data:`DEFAULT_MAX_L`).  Neighbor selection is
 the one pass over the |X^T X| kernel, :func:`~tsclust.geometry.correlation_blocks`;
 the ``exp`` weights read the correlations it picked (:class:`Neighbors`).
 """
@@ -26,6 +27,11 @@ ROW_NORM_TOL = 1e-14
 
 WEIGHT_VARIANTS = ("exp", "ls")
 
+#: The eigengap window: the largest gap index the cluster-count estimate
+#: searches when ``max_L`` is None.  ``run_tsc`` computes only the
+#: ``max(max_L + 1, L)`` smallest Laplacian eigenvalues (at most N).
+DEFAULT_MAX_L = 50
+
 
 @dataclass(frozen=True)
 class TscConfig:
@@ -36,10 +42,11 @@ class TscConfig:
     values of the minimum-norm least-squares coefficients of each point on
     its neighbors).  ``num_subspaces`` fixes the cluster count; ``None``
     estimates it with the eigengap heuristic, searching gap indices up to
-    ``max_L`` (default: N - 1).  ``correlation_normalize`` divides inner
-    products by the column norms so unnormalized inputs behave as if
-    unit-normalized; disable to rank raw absolute inner products as they are
-    (the ``exp`` weights read those above 1 as 1).
+    ``max_L`` (``None``: :data:`DEFAULT_MAX_L`), which also sizes the
+    computed spectrum.  ``correlation_normalize`` divides inner products by
+    the column norms so unnormalized inputs behave as if unit-normalized;
+    disable to rank raw absolute inner products as they are (the ``exp``
+    weights read those above 1 as 1).
     """
 
     q: int
@@ -62,6 +69,10 @@ class TscConfig:
             raise ConfigError(f"num_subspaces must be >= 1, got {self.num_subspaces}")
         if self.max_L is not None and self.max_L < 1:
             raise ConfigError(f"max_L must be >= 1, got {self.max_L}")
+        if self.kmeans_restarts < 1:
+            raise ConfigError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
+        if self.kmeans_max_iter < 1:
+            raise ConfigError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,13 @@ class NeighborGraph:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Pipeline output: 1-based labels, the cluster count used, the full
-    ascending Laplacian spectrum (length N, solved one connected component
-    of the graph at a time, see :func:`tsclust.numerics.sym_eig`), the gap
-    index when the count was estimated, and the neighbor graph the
-    clustering was computed from (sparse ``Z`` and ``A``, see
-    :class:`NeighborGraph`).  Only the ``L_hat`` eigenvectors the clustering
-    used were computed; none is kept."""
+    """Pipeline output: 1-based labels, the cluster count used, the window of
+    the smallest Laplacian eigenvalues, ascending (``min(N, max(max_L + 1,
+    L))`` of them, solved one connected component of the graph at a time,
+    see :func:`tsclust.numerics.sym_eig`), the gap index when the count was
+    estimated, and the neighbor graph the clustering was computed from
+    (sparse ``Z`` and ``A``, see :class:`NeighborGraph`).  Only the
+    ``L_hat`` eigenvectors the clustering used were taken; none is kept."""
 
     labels: np.ndarray
     L_hat: int
@@ -269,8 +280,10 @@ def normalized_laplacian(A) -> sparse.csr_array:
 
 def estimate_L_eigengap(eigenvalues: np.ndarray, max_L: int | None = None) -> tuple[int, int]:
     """Cluster-count estimate: the (1-based) index i maximizing
-    ``eigenvalues[i+1] - eigenvalues[i]`` over ``i <= min(N-1, max_L)``,
-    ties broken by the smallest index.  Returns ``(L_hat, gap_index)``.
+    ``eigenvalues[i+1] - eigenvalues[i]`` over ``i <= min(n-1, max_L)`` for
+    n given eigenvalues, ties broken by the smallest index; ``max_L = None``
+    is :data:`DEFAULT_MAX_L`.  The ``max_L + 1`` smallest eigenvalues
+    suffice.  Returns ``(L_hat, gap_index)``.
 
     Raises
     ------
@@ -280,9 +293,7 @@ def estimate_L_eigengap(eigenvalues: np.ndarray, max_L: int | None = None) -> tu
     ev = np.asarray(eigenvalues, dtype=float).ravel()
     if ev.size < 2:
         raise TooFewPoints(f"need >= 2 eigenvalues, got {ev.size}")
-    hi = ev.size - 1
-    if max_L is not None:
-        hi = max(1, min(hi, int(max_L)))
+    hi = max(1, min(ev.size - 1, DEFAULT_MAX_L if max_L is None else int(max_L)))
     gaps = np.diff(ev[: hi + 1])
     i = int(np.argmax(gaps)) + 1  # argmax returns the first maximum
     return i, i
@@ -295,8 +306,8 @@ def _cluster_embedding(
     restarts: int,
     max_iter: int,
 ) -> np.ndarray:
-    """Row-normalize the L_hat smallest eigenvectors (the only ones
-    computed) and k-means them."""
+    """Row-normalize the L_hat smallest eigenvectors (taken from the
+    decomposition's own solve) and k-means them."""
     E = decomposition.leading(L_hat)
     norms = np.linalg.norm(E, axis=1)
     keep = norms > ROW_NORM_TOL
@@ -316,32 +327,44 @@ def spectral_cluster(
     """Normalized spectral clustering of a Laplacian (dense or sparse) into
     ``L_hat`` groups.
 
-    Takes the eigenvectors of the ``L_hat`` smallest eigenvalues as an
-    ``N x L_hat`` embedding, normalizes each row to unit norm (rows with norm
-    <= 1e-14 stay zero), and k-means the rows.  Returns 1-based labels.
+    Takes the eigenvectors of the ``L_hat`` smallest eigenvalues, the only
+    ones computed (``sym_eig(L_sym, L_hat)``), as an ``N x L_hat``
+    embedding, normalizes each row to unit norm (rows with norm <= 1e-14
+    stay zero), and k-means the rows.  Returns 1-based labels.
     """
-    return _cluster_embedding(sym_eig(L_sym), L_hat, seed, restarts, max_iter)
+    return _cluster_embedding(sym_eig(L_sym, L_hat), L_hat, seed, restarts, max_iter)
 
 
 def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
     """End-to-end pipeline; deterministic for a fixed config.
 
     Composes neighbor selection, weight construction, adjacency assembly,
-    the normalized Laplacian, cluster-count estimation (when not given), and
-    spectral clustering.
+    the normalized Laplacian, one solve for the window of its
+    ``min(N, max(max_L + 1, L))`` smallest eigenvalues, cluster-count
+    estimation (when not given), and spectral clustering.
+
+    Raises
+    ------
+    ConfigError
+        If ``num_subspaces`` exceeds N (before any work is done).
     """
-    if points.N < 2:
-        raise TooFewPoints(f"need >= 2 points, got {points.N}")
+    N = points.N
+    if N < 2:
+        raise TooFewPoints(f"need >= 2 points, got {N}")
+    L = config.num_subspaces
+    if L is not None and L > N:
+        raise ConfigError(f"num_subspaces={L} exceeds the number of points N={N}")
+    max_L = DEFAULT_MAX_L if config.max_L is None else config.max_L
     pts = normalize_columns(points) if config.correlation_normalize else points
     neighbors = select_neighbors(pts, config.q, normalize=config.correlation_normalize)
     Z = compute_weights(pts, neighbors, config.weight_variant)
     graph = assemble_adjacency(Z, neighbors)
     L_sym = normalized_laplacian(graph.A)
-    decomposition = sym_eig(L_sym)
-    if config.num_subspaces is None:
-        L_hat, gap_index = estimate_L_eigengap(decomposition.eigenvalues, config.max_L)
+    decomposition = sym_eig(L_sym, min(N, max(max_L + 1, L or 0)))
+    if L is None:
+        L_hat, gap_index = estimate_L_eigengap(decomposition.eigenvalues, max_L)
     else:
-        L_hat, gap_index = config.num_subspaces, None
+        L_hat, gap_index = L, None
     labels = _cluster_embedding(
         decomposition, L_hat, config.seed, config.kmeans_restarts, config.kmeans_max_iter
     )

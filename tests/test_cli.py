@@ -10,6 +10,7 @@ import pytest
 from tsclust.geometry import PointSet
 from tsclust.ingest import write_idx
 from tsclust.metrics import clustering_error
+from tsclust.tsc import DEFAULT_MAX_L
 
 from test_ingest import synthetic_dataset
 
@@ -56,7 +57,8 @@ class TestClusterCommand:
         assert clustering_error(truth, est) == 0.0
         doc = json.loads(json_out.read_text())
         assert doc["L_hat"] == 3
-        assert len(doc["laplacian_eigenvalues"]) == 120
+        # The eigengap window, not all 120 eigenvalues.
+        assert len(doc["laplacian_eigenvalues"]) == DEFAULT_MAX_L + 1
 
     def test_q_zero_exits_2(self, orthogonal_fixture):
         proc = run_cli("cluster", orthogonal_fixture, "--q", 0, "--L", 3)
@@ -331,6 +333,23 @@ class TestClusterFlags:
     def test_bad_L_value_exits_2(self, orthogonal_fixture):
         proc = run_cli("cluster", orthogonal_fixture, "--q", 5, "--L", "many")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--max-iter", "--restarts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_kmeans_budget_exits_2(self, tmp_path, orthogonal_fixture, flag, value):
+        labels = tmp_path / "l.csv"
+        proc = run_cli(
+            "cluster", orthogonal_fixture, "--q", 5, flag, value, "--out-labels", labels,
+            "--out-json", tmp_path / "r.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and flag[2:].replace("-", "_") in proc.stderr
+        assert not labels.exists()
+
+    def test_L_above_N_exits_2_naming_num_subspaces(self, orthogonal_fixture):
+        proc = run_cli("cluster", orthogonal_fixture, "--q", 5, "--L", 500)
+        assert proc.returncode == 2
+        assert "num_subspaces=500" in proc.stderr and "N=120" in proc.stderr, proc.stderr
 
     def test_seed_changes_nothing_when_estimation_trivial(self, tmp_path, orthogonal_fixture):
         # Same config, different kmeans seed: orthogonal case stays exact.

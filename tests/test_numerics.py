@@ -88,6 +88,26 @@ class TestSymEig:
         with pytest.raises(NonFinite):
             sym_eig(A)
 
+    def test_window_is_the_smallest_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((9, 9))
+        A = A + A.T
+        full = sym_eig(A)
+        for k in (0, 1, 4, 9):
+            dec = sym_eig(A, k)
+            np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:k])
+            assert dec.eigenvectors.shape == (9, k)
+            np.testing.assert_array_equal(dec.eigenvectors, full.leading(k))
+
+    @pytest.mark.parametrize("k", [-1, 10])
+    def test_window_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            sym_eig(np.eye(9), k)
+
+    def test_leading_beyond_window_rejected(self):
+        with pytest.raises(ValueError):
+            sym_eig(np.eye(9), 3).leading(4)
+
 
 class TestLeastSquares:
     def test_orthonormal_columns_recover_coefficients(self):
@@ -176,6 +196,13 @@ class TestKMeans:
         rows = np.zeros((10, 2))
         with pytest.raises(InvalidK):
             kmeans(rows, k, seed=0)
+
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"max_iter": 0}, {"max_iter": -1}])
+    def test_nonpositive_budget_rejected(self, budget):
+        # With no Lloyd step the labels would be left unassigned.
+        rows = np.random.default_rng(4).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            kmeans(rows, 3, seed=0, **budget)
 
     @pytest.mark.parametrize("n,k,p", [(100, 3, 5), (500, 20, 7), (300, 40, 30), (37, 37, 2)])
     def test_matches_distance_tensor_reference(self, n, k, p):

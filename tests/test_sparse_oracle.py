@@ -1,11 +1,12 @@
 """The sparse pipeline against dense oracles.
 
 ``sym_eig`` splits its input into connected components and solves each
-block on its own; it and ``SpectralDecomposition.leading`` are checked
-against one dense ``np.linalg.eigh`` of the whole matrix.  ``run_tsc`` is
-checked against a dense reference of the pipeline kept here: an N x N Gram
-matrix, a stable argsort for the neighbors, dense Z, A and Laplacian, and
-one ``eigh``.
+block on its own, densely or, for a window of a large block's smallest
+eigenvalues, by Lanczos; it and ``SpectralDecomposition.leading`` are
+checked against one dense ``np.linalg.eigh`` of the whole matrix.
+``run_tsc`` is checked against a dense reference of the pipeline kept here:
+an N x N Gram matrix, a stable argsort for the neighbors, dense Z, A and
+Laplacian, and one ``eigh`` of the whole spectrum.
 """
 
 import tracemalloc
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from tsclust import geometry, tsc
+from tsclust import geometry, numerics, tsc
 from tsclust.geometry import PointSet, normalize_columns
+from tsclust.metrics import clustering_error
 from tsclust.numerics import kmeans, least_squares, sym_eig
-from tsclust.synth import intersecting_pair, orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_ensemble, intersecting_pair, orthogonal_ensemble, union_of_subspaces
 from tsclust.tsc import (
     TscConfig,
     assemble_adjacency,
@@ -50,8 +53,8 @@ def dense_neighbors(X, q, normalize=True):
     return [order[:q, j].copy() for j in range(X.shape[1])]
 
 
-def dense_run_tsc(points, config):
-    """Labels and L_hat of the dense pipeline."""
+def dense_laplacian(points, config):
+    """The dense pipeline's Laplacian."""
     X = normalize_columns(points).data
     N = X.shape[1]
     neighbors = dense_neighbors(X, config.q)
@@ -70,6 +73,13 @@ def dense_run_tsc(points, config):
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
     L = -(A * np.multiply.outer(inv_sqrt, inv_sqrt))
     np.fill_diagonal(L, np.where(pos, 1.0, 0.0))
+    return L
+
+
+def dense_run_tsc(points, config):
+    """Labels and L_hat of the dense pipeline, which computes the whole
+    spectrum."""
+    L = dense_laplacian(points, config)
     eigenvalues, eigenvectors = np.linalg.eigh((L + L.T) / 2.0)
     if config.num_subspaces is None:
         L_hat, _ = estimate_L_eigengap(eigenvalues, config.max_L)
@@ -87,22 +97,34 @@ def dense_run_tsc(points, config):
     return result.labels, L_hat
 
 
-def assert_same_spectrum(M):
-    """sym_eig(M) against dense eigh: eigenvalues within 1e-12, equal
-    eigenspace projectors, orthonormal eigenvectors."""
+def assert_same_spectrum(M, k=None):
+    """sym_eig(M, k) against the whole spectrum from dense eigh: eigenvalues
+    within 1e-12, orthonormal eigenvectors with small residuals, each on one
+    component, equal projectors on every eigenspace inside the window, and
+    the columns of an eigenspace that the window cuts lying inside it."""
     dense = np.asarray(M.toarray() if sparse.issparse(M) else M, dtype=float)
-    w_ref, V_ref = np.linalg.eigh((dense + dense.T) / 2.0)
-    dec = sym_eig(M)
-    np.testing.assert_allclose(dec.eigenvalues, w_ref, rtol=0.0, atol=1e-12)
-    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    sym = (dense + dense.T) / 2.0
+    w_ref, V_ref = np.linalg.eigh(sym)
     N = w_ref.size
+    dec = sym_eig(M) if k is None else sym_eig(M, k)
+    k = N if k is None else k
+    np.testing.assert_allclose(dec.eigenvalues, w_ref[:k], rtol=0.0, atol=1e-12)
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
     V = dec.eigenvectors
-    assert np.max(np.abs(V.T @ V - np.eye(N))) < 1e-12
+    assert V.shape == (N, k)
+    assert np.max(np.abs(V.T @ V - np.eye(k))) < 1e-12
+    assert np.max(np.abs(sym @ V - V * dec.eigenvalues)) < 1e-12 * max(1.0, np.abs(w_ref).max())
+    _, component = connected_components(sparse.csr_array(sym), directed=False)
+    for i in range(k):
+        assert np.unique(component[V[:, i] != 0.0]).size == 1
     splits = np.flatnonzero(np.diff(w_ref) > CLUSTER_TOL) + 1
     for cols in np.split(np.arange(N), splits):
-        P = V[:, cols] @ V[:, cols].T
+        inside = cols[cols < k]
         P_ref = V_ref[:, cols] @ V_ref[:, cols].T
-        assert np.max(np.abs(P - P_ref)) < 1e-10
+        if inside.size == cols.size:
+            assert np.max(np.abs(V[:, cols] @ V[:, cols].T - P_ref)) < 1e-10
+        elif inside.size:
+            assert np.max(np.abs(P_ref @ V[:, inside] - V[:, inside])) < 1e-10
     return dec
 
 
@@ -281,9 +303,200 @@ class TestRunTscOracle:
         labels, L_hat = dense_run_tsc(points, config)
         assert result.L_hat == L_hat
         np.testing.assert_array_equal(result.labels, labels)
-        assert result.laplacian_eigenvalues.size == points.N
+        window = min(points.N, max(tsc.DEFAULT_MAX_L + 1, config.num_subspaces or 0))
+        assert result.laplacian_eigenvalues.size == window
         count, _ = connected_components(result.graph.A, directed=False)
         assert (count == 1) == connected
+
+
+def cycle_laplacian(n):
+    """Normalized Laplacian of an n-cycle: each nonzero eigenvalue below the
+    top one is doubled."""
+    i = np.arange(n)
+    A = sparse.csr_array(
+        (np.ones(2 * n), (np.r_[i, (i + 1) % n], np.r_[(i + 1) % n, i])), shape=(n, n)
+    )
+    return normalized_laplacian(A)
+
+
+def mixed_laplacian(seed, big=600):
+    """Laplacian of isolated nodes, small dense blocks and one sparse block
+    of ``big`` nodes (a weighted cycle plus random chords), rows and columns
+    shuffled."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(big)
+    rows = np.r_[i, rng.integers(big, size=big)]
+    cols = np.r_[(i + 1) % big, rng.integers(big, size=big)]
+    keep = rows != cols
+    Z = sparse.csr_array(
+        (rng.uniform(0.5, 1.5, keep.sum()), (rows[keep], cols[keep])), shape=(big, big)
+    )
+    blocks = [np.zeros((1, 1)), (Z + Z.T).toarray(), np.zeros((1, 1))]
+    for size in (7, 12, 3):
+        block = rng.uniform(0.5, 1.5, size=(size, size))
+        block = (block + block.T) / 2.0
+        np.fill_diagonal(block, 0.0)
+        blocks.insert(1, block)
+    A = sparse.block_diag(blocks).toarray()
+    perm = rng.permutation(A.shape[0])
+    return normalized_laplacian(A[np.ix_(perm, perm)])
+
+
+def lanczos_blocks(dec):
+    return sum(isinstance(block, numerics._Lanczos) for block in dec.components)
+
+
+class TestWindowOracle:
+    """Windows of the spectrum with Lanczos-sized components."""
+
+    def test_cycle_component(self):
+        dec = assert_same_spectrum(cycle_laplacian(700), 51)
+        assert lanczos_blocks(dec) == 1
+        # 0 and then 25 doubled eigenvalues.
+        np.testing.assert_allclose(
+            dec.eigenvalues[1::2], dec.eigenvalues[2::2], rtol=0.0, atol=1e-12
+        )
+        assert np.min(np.diff(dec.eigenvalues[2::2])) > 1e-5
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("k", [1, 8, 51])
+    def test_isolated_small_and_large_components(self, seed, k):
+        M = mixed_laplacian(seed)
+        dec = assert_same_spectrum(M, k)
+        assert lanczos_blocks(dec) == 1
+        assert len(dec.components) == 6
+        # One zero eigenvalue per component, isolated nodes included.
+        assert int(np.sum(np.abs(dec.eigenvalues) < 1e-12)) == min(k, 6)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs["k"])
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        M = mixed_laplacian(0)
+        full = sym_eig(M)
+        monkeypatch.setattr(numerics, "eigsh", no_convergence)
+        dec = sym_eig(M, 51)
+        assert calls == [51] and lanczos_blocks(dec) == 0
+        np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:51])
+        np.testing.assert_array_equal(dec.leading(51), full.leading(51))
+
+    def test_small_window_of_small_components_is_bitwise_the_full_path(self):
+        # Below the crossover the window only truncates the dense path.
+        M = permuted_block_matrix([1, 2, 7, 1, 2, 12, 3, 1, 2], 0, laplacian=True)
+        full = sym_eig(M)
+        for k in (1, 9, 20):
+            dec = sym_eig(M, k)
+            assert lanczos_blocks(dec) == 0
+            np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:k])
+            np.testing.assert_array_equal(dec.eigenvectors, full.leading(k))
+
+
+def forced_lanczos(monkeypatch):
+    """Every component with more nodes than the window gets Lanczos."""
+    monkeypatch.setattr(numerics, "LANCZOS_MIN_NODES", 0)
+    monkeypatch.setattr(numerics, "LANCZOS_NODES_PER_VALUE", 1)
+
+
+class TestRunTscWindowOracle:
+    """``run_tsc`` with Lanczos components against the dense pipeline and
+    its whole spectrum."""
+
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    @pytest.mark.parametrize("L", [None, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_disconnected(self, monkeypatch, variant, L, seed):
+        forced_lanczos(monkeypatch)
+        self._check(disconnected_input(seed, n=80), TscConfig(
+            q=8, weight_variant=variant, num_subspaces=L, seed=seed,
+        ), lanczos=3)
+
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    @pytest.mark.parametrize("L", [None, 2])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_intersecting(self, monkeypatch, variant, L, seed):
+        forced_lanczos(monkeypatch)
+        self._check(intersecting_input(seed, n=60), TscConfig(
+            q=8, weight_variant=variant, num_subspaces=L, seed=seed,
+        ), lanczos=1)
+
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    def test_above_the_crossover(self, variant):
+        # 600 points in one component, past the crossover for 51 values.
+        self._check(intersecting_input(5, n=300), TscConfig(
+            q=8, weight_variant=variant, seed=5,
+        ), lanczos=1)
+
+    @staticmethod
+    def _check(points, config, lanczos):
+        result = run_tsc(points, config)
+        window = result.laplacian_eigenvalues.size
+        L_sym = normalized_laplacian(result.graph.A)
+        assert window == min(points.N, max(tsc.DEFAULT_MAX_L + 1, config.num_subspaces or 0))
+        assert lanczos_blocks(sym_eig(L_sym, window)) == lanczos
+        w_ref = np.linalg.eigvalsh(dense_laplacian(points, config))
+        np.testing.assert_allclose(
+            result.laplacian_eigenvalues, w_ref[:window], rtol=0.0, atol=1e-12
+        )
+        labels, L_hat = dense_run_tsc(points, config)
+        assert result.L_hat == L_hat
+        np.testing.assert_array_equal(result.labels, labels)
+        if config.num_subspaces is None:
+            # Where the whole spectrum's largest gap lies inside the window,
+            # the window finds it.
+            full_L_hat, _ = estimate_L_eigengap(w_ref, points.N - 1)
+            assert full_L_hat > tsc.DEFAULT_MAX_L or full_L_hat == result.L_hat
+
+
+class TestNoDenseReductionAboveCrossover:
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_run_tsc_never_reduces_a_large_block(self, monkeypatch, components):
+        if components == 1:
+            points = intersecting_input(5, n=300)
+        else:
+            points = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=7), 550, seed=8).points
+        window = tsc.DEFAULT_MAX_L + 1
+        crossover = numerics.LANCZOS_MIN_NODES + numerics.LANCZOS_NODES_PER_VALUE * window
+        real = numerics._lapack
+        sizes = []
+
+        def guarded(routine, *args, **kwargs):
+            if routine == "dsytrd":
+                sizes.append(args[0].shape[0])
+                if args[0].shape[0] > crossover:
+                    raise AssertionError(f"dsytrd on a {args[0].shape[0]}-node block")
+            return real(routine, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_lapack", guarded)
+        result = run_tsc(points, TscConfig(q=8))
+        assert sizes == [] and result.laplacian_eigenvalues.size == window
+        assert connected_components(result.graph.A, directed=False)[0] == components
+        # The guard does fire on the whole-spectrum path.
+        with pytest.raises(AssertionError, match="dsytrd"):
+            sym_eig(normalized_laplacian(result.graph.A))
+
+
+class TestTopOfSpectrumGap:
+    def test_grid_ls_trial_finds_the_clusters(self):
+        # The default grid spec's ls cell d=10, n=100, master seed 1, trial 0
+        # (built as the experiment harness builds it).  The whole spectrum's
+        # largest gap sits at index N - 1 = 999; the window's is at 10.
+        seed = 15967712703450191832
+        gt = union_of_subspaces(
+            haar_ensemble(50, 10, 10, numerics.derive_seed(seed, 1)), 100,
+            numerics.derive_seed(seed, 2),
+        )
+        config = TscConfig(
+            q=tsc.default_q(100, False), weight_variant="ls", seed=numerics.derive_seed(seed, 3)
+        )
+        result = run_tsc(gt.points, config)
+        assert result.L_hat == 10
+        assert clustering_error(gt.points.labels, result.labels) == 0.0
+        full = sym_eig(normalized_laplacian(result.graph.A)).eigenvalues
+        assert estimate_L_eigengap(full, gt.points.N - 1) == (999, 999)
+        assert estimate_L_eigengap(full) == (10, 10)
 
 
 class TestStagesMatchDense:

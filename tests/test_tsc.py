@@ -187,6 +187,14 @@ class TestEstimateEigengap:
         L_hat, _ = estimate_L_eigengap(np.array([0.0, 0.5, 1.0]))
         assert L_hat == 1
 
+    def test_default_window(self):
+        # Without max_L the search stops at gap index DEFAULT_MAX_L, so a
+        # larger gap further up the spectrum is not read.
+        ev = np.concatenate((np.linspace(0.0, 0.5, 60), [2.0]))
+        ev[10:] += 0.1
+        assert estimate_L_eigengap(ev) == (10, 10)
+        assert estimate_L_eigengap(ev, max_L=60) == (60, 60)
+
     def test_max_L_cap(self):
         ev = np.array([0.0, 0.0, 0.0, 0.9, 1.0, 1.1])
         L_hat, _ = estimate_L_eigengap(ev, max_L=2)
@@ -312,7 +320,8 @@ class TestRunTsc:
         result = run_tsc(gt.points, TscConfig(q=10))
         assert result.L_hat == 2
         assert result.eigengap_index == 2
-        assert result.laplacian_eigenvalues.size == gt.points.N
+        # The eigengap window of 200 points, not the whole spectrum.
+        assert result.laplacian_eigenvalues.size == tsc.DEFAULT_MAX_L + 1
 
     def test_ls_variant_column_support(self):
         rng = np.random.default_rng(60)
@@ -415,6 +424,21 @@ class TestTscConfig:
     def test_rejects_bad_L(self):
         with pytest.raises(ConfigError):
             TscConfig(q=3, num_subspaces=0)
+
+    @pytest.mark.parametrize("field", ["kmeans_restarts", "kmeans_max_iter"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_nonpositive_kmeans_budget(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TscConfig(q=3, **{field: value})
+
+    def test_L_above_N_rejected_before_neighbor_selection(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("neighbor selection ran")
+
+        monkeypatch.setattr(tsc, "select_neighbors", fail)
+        points = PointSet(np.random.default_rng(0).standard_normal((4, 12)))
+        with pytest.raises(ConfigError, match="num_subspaces=13"):
+            run_tsc(points, TscConfig(q=3, num_subspaces=13))
 
 
 class TestEdgePaths:

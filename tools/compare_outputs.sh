@@ -37,6 +37,9 @@ run_all() {
   tsc gen --out shared --m 30 --d 6 --L 3 --n 40 --shared --sigma2 0.1 --s 2 --seed 4
   tsc gen --out gauss --m 40 --d 4 --L 3 --n 30 --outliers 40 --outlier-mode gaussian \
     --sigma2 0.2 --seed 5
+  # 600 points whose q=6 graph is one component, past the size from which
+  # the eigensolver takes the Lanczos path.
+  tsc gen --out big --m 60 --d 6 --L 4 --n 150 --shared --seed 7
 
   local variant input
   for variant in exp ls; do
@@ -49,6 +52,8 @@ run_all() {
     done
     tsc cluster pair.csv --q 5 --variant "$variant" --L 2 --out-edges "pair-$variant.edges.csv" \
       --out-labels "pair-$variant.labels.csv" --out-json "pair-$variant.result.json"
+    tsc cluster big.csv --q 6 --variant "$variant" --out-labels "big-$variant.labels.csv" \
+      --out-json "big-$variant.result.json"
   done
 
   tsc outliers plain.csv --out plain.outliers.csv
