@@ -30,13 +30,17 @@ _MASK64 = (1 << 64) - 1
 #: Relative singular-value cutoff for the minimum-norm least-squares solve.
 LSTSQ_RCOND = 1e-10
 
-#: A connected component gets its k smallest eigenpairs from Lanczos when it
-#: has more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * k`` nodes, and
-#: from a dense reduction otherwise.  The measured crossover on normalized
-#: q-NN Laplacians (one BLAS thread) lies near 250 nodes for k = 6, 500 for
-#: k = 51 and 900 for k = 101.
+#: A connected component asked for its k smallest eigenpairs gets them from
+#: Lanczos when it has more than ``LANCZOS_MIN_NODES +
+#: LANCZOS_NODES_PER_VALUE * k`` nodes, and from a dense reduction otherwise.
+#: The measured crossover on normalized q-NN Laplacians (one BLAS thread)
+#: lies near 250 nodes for k = 6, 500 for k = 51 and 900 for k = 101.
 LANCZOS_MIN_NODES = 200
 LANCZOS_NODES_PER_VALUE = 6
+
+#: In a window of k values over ``count`` components, each component first
+#: solves for ``ceil(k / count)`` plus this many eigenpairs (see ``sym_eig``).
+LANCZOS_BUDGET_MARGIN = 2
 
 #: Seed of the Lanczos start vector.
 LANCZOS_SEED = 0
@@ -79,8 +83,8 @@ class _Tridiagonal:
     off-diagonal ``e``.  ``Q`` is kept as Householder reflectors below the
     subdiagonal of ``reflectors`` with scales ``tau``.  ``nodes`` are the
     component's global indices, ascending; ``columns`` the global position,
-    among all components' computed eigenvalues, of each of its smallest
-    ones, ascending with them (positions past the window are not kept)."""
+    among all components' computed eigenvalues, of each value it computed,
+    ascending with them (positions at or past the window included)."""
 
     nodes: np.ndarray
     columns: np.ndarray
@@ -110,7 +114,9 @@ class _Tridiagonal:
 class _Lanczos:
     """One connected component whose smallest eigenpairs came from ARPACK:
     ``vectors`` holds the eigenvectors of its smallest eigenvalues, ascending
-    with them.  ``nodes`` and ``columns`` as for :class:`_Tridiagonal`."""
+    with them.  ``nodes`` and ``columns`` as for :class:`_Tridiagonal`; a
+    column of ``vectors`` whose position is at or past the window is kept
+    but never read."""
 
     nodes: np.ndarray
     columns: np.ndarray
@@ -217,21 +223,29 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     The input is symmetrized as ``(A + A^T) / 2`` before factorization, so
     floating-point asymmetry up to the caller's tolerance is absorbed.  The
     symmetrized matrix is split into the connected components of its
-    nonzero pattern (a block-diagonal matrix up to a permutation), and each
-    block gives its own ``min(k, n_c)`` smallest eigenvalues:
+    nonzero pattern (a block-diagonal matrix up to a permutation).  Of its
+    ``count`` blocks, block c of ``n_c`` nodes first solves for a budget of
+    ``b_c = min(k, n_c, ceil(k / count) + LANCZOS_BUDGET_MARGIN)`` of its
+    smallest eigenvalues:
 
-    - a block with more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * k``
+    - a block with more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * b_c``
       nodes gets them, with their eigenvectors, from ARPACK's implicitly
       restarted Lanczos (``eigsh``, smallest algebraic, ``tol=0``, a fixed
       seeded start vector), or from the dense path if that does not converge;
     - any other block is densified on its own and reduced once to
       tridiagonal form (LAPACK ``dsytrd``), and ``dsterf`` gives its
-      eigenvalues; its eigenvectors come from that reduction on demand.
+      ``min(k, n_c)`` smallest eigenvalues whatever its budget; its
+      eigenvectors come from that reduction on demand.
 
-    Without ``k`` every block takes the dense path, so the spectrum is
-    complete and a connected matrix is the one-block case.  The k smallest of
-    the blocks' eigenvalues come out ascending, ties in component order
-    (components numbered by their lowest index).
+    Let theta be the k-th smallest of all values computed so far (+inf if
+    fewer than k were).  A block that computed fewer than ``min(k, n_c)``
+    values, none of them above theta, may own window values it has not
+    computed: it solves again with its budget doubled (at most k), until no
+    block is in that state.  A connected matrix is the one-block case, with
+    budget k.  Without ``k`` (or with ``k = N``) every block takes the dense
+    path, so the spectrum is complete.  The k smallest of the blocks'
+    eigenvalues come out ascending, ties in component order (components
+    numbered by their lowest index).
 
     Raises
     ------
@@ -259,13 +273,28 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     nodes = np.argsort(component, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=count))))
     permuted = sym[nodes][:, nodes]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    solves = []
-    for lo, hi in spans:
-        n, block = int(hi - lo), permuted[lo:hi, lo:hi]
-        solve = _lanczos(block, k) if _uses_lanczos(n, k) else None
-        solves.append(solve or _tridiagonal(block, min(k, n)))
-    values = np.concatenate([v for v, _ in solves])
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    # Each block owns at most min(k, n_c) of the window and first solves for
+    # a share of it; a window of the whole spectrum holds every value.
+    owned = np.minimum(k, np.diff(bounds))
+    share = k if k == N else -(-k // count) + LANCZOS_BUDGET_MARGIN
+    budgets = np.minimum(owned, share)
+    solves, values = [None] * count, np.empty(0)
+    pending = np.arange(count)
+    while pending.size:
+        for c in pending:
+            (lo, hi), budget = spans[c], int(budgets[c])
+            block = permuted[lo:hi, lo:hi]
+            solve = _lanczos(block, budget) if _uses_lanczos(hi - lo, budget) else None
+            solves[c] = solve or _tridiagonal(block, int(owned[c]))
+        values = np.concatenate([v for v, _ in solves])
+        theta = np.partition(values, k - 1)[k - 1] if 0 < k <= values.size else np.inf
+        # A block that stopped short of min(k, n_c) with no value above the
+        # k-th smallest so far may own values it has not computed.
+        pending = np.flatnonzero(
+            [v.size < m and v[-1] <= theta for (v, _), m in zip(solves, owned)]
+        )
+        budgets[pending] = np.minimum(2 * budgets[pending], k)
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)

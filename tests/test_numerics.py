@@ -108,6 +108,12 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(np.eye(9), 3).leading(4)
 
+    def test_empty_matrix(self):
+        for dec in (sym_eig(np.zeros((0, 0)), 0), sym_eig(np.zeros((0, 0)))):
+            assert dec.eigenvalues.shape == (0,)
+            assert dec.components == () and dec.N == 0
+            assert dec.eigenvectors.shape == (0, 0)
+
 
 class TestLeastSquares:
     def test_orthonormal_columns_recover_coefficients(self):

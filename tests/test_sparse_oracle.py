@@ -81,11 +81,17 @@ def dense_run_tsc(points, config):
     spectrum."""
     L = dense_laplacian(points, config)
     eigenvalues, eigenvectors = np.linalg.eigh((L + L.T) / 2.0)
+    return spectral_labels(eigenvalues, lambda k: eigenvectors[:, :k].copy(), config)
+
+
+def spectral_labels(eigenvalues, leading, config):
+    """Labels and L_hat from the whole spectrum and ``leading(k)``, the
+    eigenvectors of its k smallest values."""
     if config.num_subspaces is None:
         L_hat, _ = estimate_L_eigengap(eigenvalues, config.max_L)
     else:
         L_hat = config.num_subspaces
-    E = eigenvectors[:, :L_hat].copy()
+    E = leading(L_hat)
     norms = np.linalg.norm(E, axis=1)
     keep = norms > tsc.ROW_NORM_TOL
     E[keep] /= norms[keep, None]
@@ -379,7 +385,9 @@ class TestWindowOracle:
         full = sym_eig(M)
         monkeypatch.setattr(numerics, "eigsh", no_convergence)
         dec = sym_eig(M, 51)
-        assert calls == [51] and lanczos_blocks(dec) == 0
+        # ARPACK was asked (for the large block's budget, not the window) and
+        # every failure fell back to the dense path.
+        assert len(calls) == 1 and lanczos_blocks(dec) == 0
         np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:51])
         np.testing.assert_array_equal(dec.leading(51), full.leading(51))
 
@@ -392,6 +400,140 @@ class TestWindowOracle:
             assert lanczos_blocks(dec) == 0
             np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:k])
             np.testing.assert_array_equal(dec.eigenvectors, full.leading(k))
+
+
+def counted_eigsh(monkeypatch):
+    """Record the k of every ``eigsh`` call, in order, in the list returned."""
+    calls = []
+    real = numerics.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigsh", counting)
+    return calls
+
+
+def computed_pairs(dec):
+    return sum(block.columns.size for block in dec.components)
+
+
+def assert_window_of_blocks(M, k):
+    """sym_eig(M, k) against the whole spectrum of sym_eig(M), which reduces
+    each block densely: eigenvalues within 1e-12, and orthonormal window
+    eigenvectors with small residuals, each on one component.  Returns both
+    decompositions."""
+    full = sym_eig(M)
+    dec = sym_eig(M, k)
+    np.testing.assert_allclose(dec.eigenvalues, full.eigenvalues[:k], rtol=0.0, atol=1e-12)
+    V = dec.leading(k)
+    assert np.max(np.abs(V.T @ V - np.eye(k)), initial=0.0) < 1e-12
+    sym = (M + M.T) / 2.0
+    assert np.max(np.abs(sym @ V - V * dec.eigenvalues), initial=0.0) < 1e-12
+    _, component = connected_components(sym, directed=False)
+    for i in range(k):
+        assert np.unique(component[V[:, i] != 0.0]).size == 1
+    return dec, full
+
+
+def ring_lattice(n, r):
+    """Adjacency of n nodes on a ring, each joined to its r nearest
+    neighbors on either side."""
+    i = np.arange(n)
+    rows = np.tile(i, r)
+    cols = (rows + np.repeat(np.arange(1, r + 1), n)) % n
+    A = sparse.csr_array((np.ones(r * n), (rows, cols)), shape=(n, n))
+    return A + A.T
+
+
+def random_component(n, rng):
+    """Adjacency of a weighted n-cycle plus 2n random chords (connected)."""
+    i = np.arange(n)
+    rows = np.r_[i, rng.integers(n, size=2 * n)]
+    cols = np.r_[(i + 1) % n, rng.integers(n, size=2 * n)]
+    keep = rows != cols
+    Z = sparse.csr_array(
+        (rng.uniform(0.5, 1.5, keep.sum()), (rows[keep], cols[keep])), shape=(n, n)
+    )
+    return Z + Z.T
+
+
+def block_laplacian(blocks, rng):
+    """Normalized Laplacian of the block-diagonal adjacency, rows and
+    columns shuffled."""
+    A = sparse.block_diag(blocks, format="csr")
+    perm = rng.permutation(A.shape[0])
+    return normalized_laplacian(A[perm][:, perm])
+
+
+class TestWindowBudget:
+    """Each component first solves for ``ceil(k / count) + 2`` pairs; one that
+    may own window values it has not computed solves again with twice the
+    budget.  Every case is checked against the whole spectrum."""
+
+    def test_tsc_clusters_resolve_the_largest(self, monkeypatch):
+        # The 2000-point cluster owns 17 of the 51 window values against a
+        # budget of 15, so it solves a second time, for 30.
+        bases = haar_ensemble(200, 4, 5, seed=1)
+        points = union_of_subspaces(bases, [2000, 700, 700, 700], seed=2).points
+        config = TscConfig(q=15)
+        calls = counted_eigsh(monkeypatch)
+        result = run_tsc(points, config)
+        assert sorted(calls) == [15, 15, 15, 15, 30]
+        L_sym = normalized_laplacian(result.graph.A)
+        dec, full = assert_window_of_blocks(L_sym, 51)
+        assert computed_pairs(dec) == 75
+        np.testing.assert_allclose(
+            result.laplacian_eigenvalues, full.eigenvalues[:51], rtol=0.0, atol=1e-12
+        )
+        labels, L_hat = spectral_labels(full.eigenvalues, full.leading, config)
+        assert result.L_hat == L_hat == 4
+        np.testing.assert_array_equal(result.labels, labels)
+
+    def test_skewed_components_resolve_twice(self, monkeypatch):
+        # The ring owns 48 of the 51 values: budgets 15, then 30, then 51.
+        rng = np.random.default_rng(0)
+        blocks = [ring_lattice(2000, 3)] + [random_component(700, rng) for _ in range(3)]
+        M = block_laplacian(blocks, rng)
+        calls = counted_eigsh(monkeypatch)
+        dec, _ = assert_window_of_blocks(M, 51)
+        assert sorted(calls) == [15, 15, 15, 15, 30, 51]
+        assert computed_pairs(dec) == 51 + 3 * 15
+        assert lanczos_blocks(dec) == 4
+
+    def test_budgets_short_of_the_window(self, monkeypatch):
+        # 28 + 1 values computed, fewer than 51: theta is +inf, and the large
+        # block solves again for the whole window.
+        rng = np.random.default_rng(1)
+        M = block_laplacian([random_component(1000, rng), sparse.csr_array((1, 1))], rng)
+        calls = counted_eigsh(monkeypatch)
+        dec, _ = assert_window_of_blocks(M, 51)
+        assert calls == [28, 51] and computed_pairs(dec) == 52
+
+    @pytest.mark.parametrize("k, eigsh_calls", [(0, []), (1, [1])])
+    def test_smallest_windows(self, monkeypatch, k, eigsh_calls):
+        rng = np.random.default_rng(1)
+        M = block_laplacian([random_component(1000, rng), sparse.csr_array((1, 1))], rng)
+        calls = counted_eigsh(monkeypatch)
+        dec, _ = assert_window_of_blocks(M, k)
+        assert calls == eigsh_calls and computed_pairs(dec) == 2 * k
+        assert dec.eigenvalues.shape == (k,) and dec.leading(k).shape == (1001, k)
+
+    def test_equal_components_solve_once(self, monkeypatch):
+        # The benchmark's input shape: 5 clusters of 800 points in R^200.
+        bases = haar_ensemble(200, 5, 5, seed=3)
+        graph = run_tsc(union_of_subspaces(bases, 800, seed=4).points, TscConfig(q=15)).graph
+        L_sym = normalized_laplacian(graph.A)
+        calls = counted_eigsh(monkeypatch)
+        dec, _ = assert_window_of_blocks(L_sym, 51)
+        assert calls == [13] * 5 and computed_pairs(dec) == 65
+        # Each block asked for the whole window computes 5 x 51 pairs.
+        calls.clear()
+        monkeypatch.setattr(numerics, "LANCZOS_BUDGET_MARGIN", 51)
+        whole = sym_eig(L_sym, 51)
+        assert calls == [51] * 5 and computed_pairs(whole) == 255
+        np.testing.assert_allclose(whole.eigenvalues, dec.eigenvalues, rtol=0.0, atol=1e-12)
 
 
 def forced_lanczos(monkeypatch):
@@ -421,6 +563,18 @@ class TestRunTscWindowOracle:
         self._check(intersecting_input(seed, n=60), TscConfig(
             q=8, weight_variant=variant, num_subspaces=L, seed=seed,
         ), lanczos=1)
+
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    def test_budgets_resolve_the_largest_cluster(self, monkeypatch, variant):
+        # Clusters of 200, 70, 70 and 70 points: the largest owns more of the
+        # 51 window values than its budget of 15 and solves again.
+        forced_lanczos(monkeypatch)
+        calls = counted_eigsh(monkeypatch)
+        bases = haar_ensemble(200, 4, 5, seed=1)
+        points = union_of_subspaces(bases, [200, 70, 70, 70], seed=2).points
+        self._check(points, TscConfig(q=15, weight_variant=variant, seed=1), lanczos=4)
+        # The same calls in run_tsc and in _check's own window solve.
+        assert sorted(calls[:5]) == [15, 15, 15, 15, 30] and calls == 2 * calls[:5]
 
     @pytest.mark.parametrize("variant", ["exp", "ls"])
     def test_above_the_crossover(self, variant):

@@ -40,6 +40,9 @@ run_all() {
   # 600 points whose q=6 graph is one component, past the size from which
   # the eigensolver takes the Lanczos path.
   tsc gen --out big --m 60 --d 6 --L 4 --n 150 --shared --seed 7
+  # Two components of 600 points, each past the crossover for its share of
+  # the window, so both take the Lanczos path with a per-component budget.
+  tsc gen --out multi --m 60 --d 4 --L 2 --n 600 --seed 8
 
   local variant input
   for variant in exp ls; do
@@ -54,6 +57,8 @@ run_all() {
       --out-labels "pair-$variant.labels.csv" --out-json "pair-$variant.result.json"
     tsc cluster big.csv --q 6 --variant "$variant" --out-labels "big-$variant.labels.csv" \
       --out-json "big-$variant.result.json"
+    tsc cluster multi.csv --q 6 --variant "$variant" --out-labels "multi-$variant.labels.csv" \
+      --out-json "multi-$variant.result.json"
   done
 
   tsc outliers plain.csv --out plain.outliers.csv
