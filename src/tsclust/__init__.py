@@ -32,7 +32,6 @@ from .geometry import (
     SubspaceBasis,
     normalize_columns,
     principal_angles,
-    spherical_pseudo_distance,
 )
 from .ingest import (
     IdxDataset,

@@ -1,4 +1,4 @@
-"""Point sets, the spherical pseudo-distance, and subspace affinities.
+"""Point sets, the |X^T X| kernel, CSV writing, and subspace affinities.
 
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
 ``R^m``.  Two subspaces are compared through the singular values of the
@@ -225,18 +225,6 @@ def normalize_columns(points: PointSet) -> PointSet:
     if zero.size:
         raise ZeroVector(int(zero[0]))
     return PointSet(data / norms, points.labels)
-
-
-def spherical_pseudo_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Angle ``arccos |<x, y>|`` between the lines spanned by two unit vectors.
-
-    Antipodal points have distance 0, so this is a pseudo-distance on the
-    sphere.  The inner product is clamped to [0, 1] before ``arccos`` to
-    absorb floating-point overshoot; callers are expected to pass unit
-    vectors (within 1e-10).
-    """
-    ip = abs(float(np.dot(np.ravel(x), np.ravel(y))))
-    return float(np.arccos(min(ip, 1.0)))
 
 
 def principal_angles(Uk: SubspaceBasis, Ul: SubspaceBasis) -> PrincipalAngleReport:

@@ -6,7 +6,8 @@ k-means, and sub-stream seed derivation.
 The eigendecomposition and SVD are delegated to LAPACK and ARPACK (via scipy
 and numpy): a large component gets only its smallest eigenpairs from
 Lanczos; any other is reduced to tridiagonal form once, which gives its
-eigenvalues and, later, any number of its smallest eigenvectors.  The
+eigenvalues and, later, any number of its smallest eigenvectors.  Either
+way a component is one record whose ``smallest(j)`` gives those vectors.  The
 contracts here are the reconstruction/optimality invariants, not the
 algorithm.  k-means is implemented directly so that seeding, restart
 sub-streams, and tie-breaking are fully pinned down.
@@ -14,8 +15,8 @@ sub-streams, and tie-breaking are fully pinned down.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -77,61 +78,28 @@ def _lapack(routine, *args, **kwargs):
 
 
 @dataclass(frozen=True)
-class _Tridiagonal:
-    """One connected component of a symmetric matrix, reduced by ``dsytrd``
-    (lower) to the tridiagonal ``T = Q^T M Q`` with diagonal ``d`` and
-    off-diagonal ``e``.  ``Q`` is kept as Householder reflectors below the
-    subdiagonal of ``reflectors`` with scales ``tau``.  ``nodes`` are the
-    component's global indices, ascending; ``columns`` the global position,
-    among all components' computed eigenvalues, of each value it computed,
-    ascending with them (positions at or past the window included)."""
+class _Component:
+    """One connected component of a symmetric matrix.  ``nodes`` are its
+    global indices, ascending; ``columns`` the global position, among all
+    components' computed eigenvalues, of each value it computed, ascending
+    with them (positions at or past the window included); ``smallest(j)``
+    gives the eigenvectors of its j smallest eigenvalues (n x j), for
+    ``1 <= j <= columns.size``; ``None`` if it computed none."""
 
     nodes: np.ndarray
     columns: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-
-    def smallest(self, k: int) -> np.ndarray:
-        """The eigenvectors of the block's k smallest eigenvalues (n x k)."""
-        if self.d.size == 1:
-            return np.ones((1, 1))
-        # stemr is about twice as fast for the whole spectrum ("a") as by index.
-        _, V = eigh_tridiagonal(
-            self.d, self.e, select="a" if k == self.d.size else "i",
-            select_range=(0, k - 1), lapack_driver="stemr",
-        )
-        # Q V, as LAPACK's dormtr does it for UPLO='L': the reflectors act on
-        # rows 1..n-1 only.
-        a = self.reflectors[1:, :-1]
-        _, work = _lapack("dormqr", "L", "N", a, self.tau, V[1:], -1)
-        V[1:] = _lapack("dormqr", "L", "N", a, self.tau, V[1:], int(work[0]))[0]
-        return V
-
-
-@dataclass(frozen=True)
-class _Lanczos:
-    """One connected component whose smallest eigenpairs came from ARPACK:
-    ``vectors`` holds the eigenvectors of its smallest eigenvalues, ascending
-    with them.  ``nodes`` and ``columns`` as for :class:`_Tridiagonal`; a
-    column of ``vectors`` whose position is at or past the window is kept
-    but never read."""
-
-    nodes: np.ndarray
-    columns: np.ndarray
-    vectors: np.ndarray
-
-    def smallest(self, k: int) -> np.ndarray:
-        """The eigenvectors of the block's k smallest eigenvalues (n x k)."""
-        return self.vectors[:, :k].copy()
+    smallest: Callable[[int], np.ndarray] | None
 
 
 def _tridiagonal(block: sparse.csr_array, k: int):
-    """The k smallest eigenvalues of a block by dense reduction, and the
-    constructor of its :class:`_Tridiagonal`, which takes ``nodes`` and
-    ``columns``."""
+    """The k smallest eigenvalues of a block by dense reduction, and its
+    ``smallest``: ``dsytrd`` (lower) reduces the block once to ``T = Q^T M Q``
+    (diagonal ``d``, off-diagonal ``e``, ``Q`` as Householder reflectors with
+    scales ``tau``); ``smallest(j)`` solves ``T`` for j vectors (``stemr``)
+    and applies ``Q`` (``dormqr``).  k = 0 factorizes nothing: no ``smallest``."""
     n = block.shape[0]
+    if k == 0:
+        return np.empty(0), None
     (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
     c, d, e, tau = _lapack(
         "dsytrd", block.toarray(order="F"),
@@ -139,22 +107,38 @@ def _tridiagonal(block: sparse.csr_array, k: int):
     )
     # dsterf needs n - 1 >= 1 off-diagonal entries; a 1 x 1 block is its value.
     values = _lapack("dsterf", d, e)[0] if n > 1 else d.copy()
-    return values[:k], partial(_Tridiagonal, reflectors=c, tau=tau, d=d, e=e)
+
+    def smallest(j: int) -> np.ndarray:
+        if n == 1:
+            return np.ones((1, 1))
+        # stemr is about twice as fast for the whole spectrum ("a") as by index.
+        _, V = eigh_tridiagonal(
+            d, e, select="a" if j == n else "i",
+            select_range=(0, j - 1), lapack_driver="stemr",
+        )
+        # Q V, as LAPACK's dormtr does it for UPLO='L': the reflectors act on
+        # rows 1..n-1 only.
+        a = c[1:, :-1]
+        _, work = _lapack("dormqr", "L", "N", a, tau, V[1:], -1)
+        V[1:] = _lapack("dormqr", "L", "N", a, tau, V[1:], int(work[0]))[0]
+        return V
+
+    return values[:k], smallest
 
 
 def _lanczos(block: sparse.csr_array, k: int):
     """The k smallest eigenvalues of a block by implicitly restarted Lanczos
-    (ARPACK, ``tol=0``: to machine precision) and the constructor of its
-    :class:`_Lanczos`, as for :func:`_tridiagonal`; ``None`` if ARPACK does
-    not converge.  The start vector is fixed, and not constant: a constant
-    vector is an eigenvector of a regular graph's Laplacian."""
+    (ARPACK, ``tol=0``: to machine precision) and its ``smallest``, which
+    reads the eigenvectors ARPACK returned with them; ``None`` if ARPACK
+    does not converge.  The start vector is fixed, and not constant: a
+    constant vector is an eigenvector of a regular graph's Laplacian."""
     v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, block.shape[0])
     try:
         values, vectors = eigsh(block, k=k, which="SA", tol=0, v0=v0)
     except ArpackNoConvergence:
         return None
     order = np.argsort(values, kind="stable")
-    return values[order], partial(_Lanczos, vectors=vectors[:, order])
+    return values[order], lambda j: vectors[:, order[:j]]
 
 
 def _uses_lanczos(n: int, k: int) -> bool:
@@ -175,7 +159,7 @@ class SpectralDecomposition:
     """
 
     eigenvalues: np.ndarray
-    components: tuple[_Tridiagonal | _Lanczos, ...]
+    components: tuple[_Component, ...]
     N: int
 
     def leading(self, k: int) -> np.ndarray:
@@ -204,15 +188,13 @@ class SpectralDecomposition:
 class KMeansResult:
     """Outcome of a k-means run.
 
-    ``labels`` are 1-based cluster ids in ``[1, k]``.  ``inertia_history``
-    holds the per-iteration inertia of the winning restart (non-increasing).
+    ``labels`` are 1-based cluster ids in ``[1, k]``.
     """
 
     labels: np.ndarray
     centroids: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: tuple[float, ...]
 
 
 def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
@@ -235,7 +217,7 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     - any other block is densified on its own and reduced once to
       tridiagonal form (LAPACK ``dsytrd``), and ``dsterf`` gives its
       ``min(k, n_c)`` smallest eigenvalues whatever its budget; its
-      eigenvectors come from that reduction on demand.
+      eigenvectors come from that reduction on demand; ``k = 0`` reduces none.
 
     Let theta be the k-th smallest of all values computed so far (+inf if
     fewer than k were).  A block that computed fewer than ``min(k, n_c)``
@@ -300,8 +282,8 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     column[order] = np.arange(order.size)
     starts = np.cumsum([0] + [v.size for v, _ in solves])
     components = tuple(
-        make(nodes=nodes[lo:hi], columns=column[start:start + v.size])
-        for (lo, hi), start, (v, make) in zip(spans, starts, solves)
+        _Component(nodes[lo:hi], column[start:start + v.size], smallest)
+        for (lo, hi), start, (v, smallest) in zip(spans, starts, solves)
     )
     return SpectralDecomposition(eigenvalues=values[order[:k]], components=components, N=N)
 
@@ -362,7 +344,6 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iter: int):
     n = rows.shape[0]
     k = centroids.shape[0]
     labels = np.full(n, -1, dtype=int)
-    history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         # One centroid at a time: an (n, k, p) difference tensor would not fit
@@ -377,7 +358,6 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iter: int):
                 far = int(np.argmax(point_d2))
                 new_labels[far] = c
                 point_d2[far] = 0.0
-        history.append(float(point_d2.sum()))
         iterations += 1
         if np.array_equal(new_labels, labels):
             break
@@ -386,10 +366,8 @@ def _lloyd(rows: np.ndarray, centroids: np.ndarray, max_iter: int):
             members = rows[labels == c]
             if members.size:
                 centroids[c] = members.mean(axis=0)
-    inertia = float(
-        np.sum((rows - centroids[labels]) ** 2)
-    )
-    return labels, centroids, inertia, iterations, tuple(history)
+    inertia = float(np.sum((rows - centroids[labels]) ** 2))
+    return labels, centroids, inertia, iterations
 
 
 def kmeans(
@@ -424,14 +402,13 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.default_rng(derive_seed(seed, r))
         centroids = _kmeans_pp_init(rows, k, rng)
-        labels, centroids, inertia, iters, history = _lloyd(rows, centroids.copy(), max_iter)
+        labels, centroids, inertia, iters = _lloyd(rows, centroids.copy(), max_iter)
         if best is None or inertia < best.inertia:
             best = KMeansResult(
                 labels=labels + 1,
                 centroids=centroids,
                 inertia=inertia,
                 iterations=iters,
-                inertia_history=history,
             )
     assert best is not None
     return best

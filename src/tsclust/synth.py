@@ -27,15 +27,12 @@ class GroundTruth:
     """A generated data set with everything needed to score a clustering.
 
     ``points.labels`` hold 1-based subspace ids, with 0 reserved for
-    outliers.  ``clean_points`` are the unit-norm inlier columns before
-    noise/erasure (present only when the set was corrupted).  ``erased_sets``
-    records the zeroed coordinate set of each column (empty for outliers).
+    outliers.  ``erased_sets`` records the zeroed coordinate set of each
+    column (empty for outliers).
     """
 
     points: PointSet
-    bases: list[SubspaceBasis]
     outlier_mask: np.ndarray
-    clean_points: np.ndarray | None = None
     erased_sets: list[np.ndarray] | None = None
     params: dict = field(default_factory=dict)
 
@@ -280,7 +277,6 @@ def union_of_subspaces(
     clean = np.hstack(blocks)
     labels = np.repeat(np.arange(1, L + 1), counts)
 
-    corrupted = sigma2 > 0.0 or erasures > 0
     inliers, erased = corrupt(clean, sigma2, erasures, derive_seed(seed, L + 1), noise_first)
     if inlier_scale != 1.0:
         inliers = inliers * inlier_scale
@@ -293,9 +289,7 @@ def union_of_subspaces(
     mask = labels == 0
     return GroundTruth(
         points=PointSet(data, labels),
-        bases=list(bases),
         outlier_mask=mask,
-        clean_points=clean if corrupted else None,
         erased_sets=erased if erasures > 0 else None,
         params=dict(params or {}, seed=int(seed)),
     )

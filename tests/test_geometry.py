@@ -9,7 +9,6 @@ from tsclust.geometry import (
     SubspaceBasis,
     normalize_columns,
     principal_angles,
-    spherical_pseudo_distance,
 )
 from tsclust.synth import haar_basis
 
@@ -70,30 +69,6 @@ class TestPointSetValidation:
         path.write_text("x1,x2\n1.0,2.0\nnan,1.0\n")
         with pytest.raises(NonFinite):
             PointSet.from_csv(path)
-
-
-class TestSphericalPseudoDistance:
-    def test_same_point(self):
-        x = np.array([0.6, 0.8])
-        assert spherical_pseudo_distance(x, x) == 0.0
-
-    def test_orthogonal(self):
-        assert spherical_pseudo_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.pi / 2)
-
-    def test_antipodal_is_zero(self):
-        x = np.array([0.6, 0.8])
-        assert spherical_pseudo_distance(x, -x) == 0.0
-
-    def test_symmetry_and_sign_invariance_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            x = rng.standard_normal(5)
-            y = rng.standard_normal(5)
-            x /= np.linalg.norm(x)
-            y /= np.linalg.norm(y)
-            d = spherical_pseudo_distance(x, y)
-            assert spherical_pseudo_distance(y, x) == d
-            assert spherical_pseudo_distance(-x, y) == d
 
 
 class TestPrincipalAngles:

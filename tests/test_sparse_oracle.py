@@ -103,16 +103,41 @@ def spectral_labels(eigenvalues, leading, config):
     return result.labels, L_hat
 
 
-def assert_same_spectrum(M, k=None):
+def solve_counted(M, k=None):
+    """sym_eig(M, k) and the size of every block that a ``dsytrd`` call
+    reduced during it, in order."""
+    real, reduced = numerics._lapack, []
+
+    def counting(routine, *args, **kwargs):
+        if routine == "dsytrd":
+            reduced.append(args[0].shape[0])
+        return real(routine, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_lapack", counting)
+        dec = sym_eig(M, k)
+    return dec, reduced
+
+
+def lanczos_blocks(dec, reduced):
+    """The components of a nonempty window that Lanczos solved: every
+    component solves for at least one value, and the dense path reduces
+    each of its components once."""
+    return len(dec.components) - len(reduced)
+
+
+def assert_same_spectrum(M, k=None, lanczos=None):
     """sym_eig(M, k) against the whole spectrum from dense eigh: eigenvalues
     within 1e-12, orthonormal eigenvectors with small residuals, each on one
     component, equal projectors on every eigenspace inside the window, and
-    the columns of an eigenspace that the window cuts lying inside it."""
+    the columns of an eigenspace that the window cuts lying inside it; and,
+    if given, ``lanczos`` components solved by Lanczos."""
     dense = np.asarray(M.toarray() if sparse.issparse(M) else M, dtype=float)
     sym = (dense + dense.T) / 2.0
     w_ref, V_ref = np.linalg.eigh(sym)
     N = w_ref.size
-    dec = sym_eig(M) if k is None else sym_eig(M, k)
+    dec, reduced = solve_counted(M, k)
+    assert lanczos is None or lanczos_blocks(dec, reduced) == lanczos
     k = N if k is None else k
     np.testing.assert_allclose(dec.eigenvalues, w_ref[:k], rtol=0.0, atol=1e-12)
     assert np.all(np.diff(dec.eigenvalues) >= 0.0)
@@ -348,16 +373,11 @@ def mixed_laplacian(seed, big=600):
     return normalized_laplacian(A[np.ix_(perm, perm)])
 
 
-def lanczos_blocks(dec):
-    return sum(isinstance(block, numerics._Lanczos) for block in dec.components)
-
-
 class TestWindowOracle:
     """Windows of the spectrum with Lanczos-sized components."""
 
     def test_cycle_component(self):
-        dec = assert_same_spectrum(cycle_laplacian(700), 51)
-        assert lanczos_blocks(dec) == 1
+        dec = assert_same_spectrum(cycle_laplacian(700), 51, lanczos=1)
         # 0 and then 25 doubled eigenvalues.
         np.testing.assert_allclose(
             dec.eigenvalues[1::2], dec.eigenvalues[2::2], rtol=0.0, atol=1e-12
@@ -368,8 +388,7 @@ class TestWindowOracle:
     @pytest.mark.parametrize("k", [1, 8, 51])
     def test_isolated_small_and_large_components(self, seed, k):
         M = mixed_laplacian(seed)
-        dec = assert_same_spectrum(M, k)
-        assert lanczos_blocks(dec) == 1
+        dec = assert_same_spectrum(M, k, lanczos=1)
         assert len(dec.components) == 6
         # One zero eigenvalue per component, isolated nodes included.
         assert int(np.sum(np.abs(dec.eigenvalues) < 1e-12)) == min(k, 6)
@@ -384,10 +403,10 @@ class TestWindowOracle:
         M = mixed_laplacian(0)
         full = sym_eig(M)
         monkeypatch.setattr(numerics, "eigsh", no_convergence)
-        dec = sym_eig(M, 51)
+        dec, reduced = solve_counted(M, 51)
         # ARPACK was asked (for the large block's budget, not the window) and
         # every failure fell back to the dense path.
-        assert len(calls) == 1 and lanczos_blocks(dec) == 0
+        assert len(calls) == 1 and lanczos_blocks(dec, reduced) == 0
         np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:51])
         np.testing.assert_array_equal(dec.leading(51), full.leading(51))
 
@@ -396,8 +415,8 @@ class TestWindowOracle:
         M = permuted_block_matrix([1, 2, 7, 1, 2, 12, 3, 1, 2], 0, laplacian=True)
         full = sym_eig(M)
         for k in (1, 9, 20):
-            dec = sym_eig(M, k)
-            assert lanczos_blocks(dec) == 0
+            dec, reduced = solve_counted(M, k)
+            assert lanczos_blocks(dec, reduced) == 0
             np.testing.assert_array_equal(dec.eigenvalues, full.eigenvalues[:k])
             np.testing.assert_array_equal(dec.eigenvectors, full.leading(k))
 
@@ -419,13 +438,14 @@ def computed_pairs(dec):
     return sum(block.columns.size for block in dec.components)
 
 
-def assert_window_of_blocks(M, k):
+def assert_window_of_blocks(M, k, lanczos=None):
     """sym_eig(M, k) against the whole spectrum of sym_eig(M), which reduces
     each block densely: eigenvalues within 1e-12, and orthonormal window
-    eigenvectors with small residuals, each on one component.  Returns both
-    decompositions."""
+    eigenvectors with small residuals, each on one component; and, if given,
+    ``lanczos`` components solved by Lanczos.  Returns both decompositions."""
     full = sym_eig(M)
-    dec = sym_eig(M, k)
+    dec, reduced = solve_counted(M, k)
+    assert lanczos is None or lanczos_blocks(dec, reduced) == lanczos
     np.testing.assert_allclose(dec.eigenvalues, full.eigenvalues[:k], rtol=0.0, atol=1e-12)
     V = dec.leading(k)
     assert np.max(np.abs(V.T @ V - np.eye(k)), initial=0.0) < 1e-12
@@ -497,10 +517,9 @@ class TestWindowBudget:
         blocks = [ring_lattice(2000, 3)] + [random_component(700, rng) for _ in range(3)]
         M = block_laplacian(blocks, rng)
         calls = counted_eigsh(monkeypatch)
-        dec, _ = assert_window_of_blocks(M, 51)
+        dec, _ = assert_window_of_blocks(M, 51, lanczos=4)
         assert sorted(calls) == [15, 15, 15, 15, 30, 51]
         assert computed_pairs(dec) == 51 + 3 * 15
-        assert lanczos_blocks(dec) == 4
 
     def test_budgets_short_of_the_window(self, monkeypatch):
         # 28 + 1 values computed, fewer than 51: theta is +inf, and the large
@@ -519,6 +538,9 @@ class TestWindowBudget:
         dec, _ = assert_window_of_blocks(M, k)
         assert calls == eigsh_calls and computed_pairs(dec) == 2 * k
         assert dec.eigenvalues.shape == (k,) and dec.leading(k).shape == (1001, k)
+        # An empty window factorizes nothing; one value reduces only the
+        # isolated node.
+        assert solve_counted(M, k)[1] == [1] * k
 
     def test_equal_components_solve_once(self, monkeypatch):
         # The benchmark's input shape: 5 clusters of 800 points in R^200.
@@ -589,7 +611,7 @@ class TestRunTscWindowOracle:
         window = result.laplacian_eigenvalues.size
         L_sym = normalized_laplacian(result.graph.A)
         assert window == min(points.N, max(tsc.DEFAULT_MAX_L + 1, config.num_subspaces or 0))
-        assert lanczos_blocks(sym_eig(L_sym, window)) == lanczos
+        assert lanczos_blocks(*solve_counted(L_sym, window)) == lanczos
         w_ref = np.linalg.eigvalsh(dense_laplacian(points, config))
         np.testing.assert_allclose(
             result.laplacian_eigenvalues, w_ref[:window], rtol=0.0, atol=1e-12

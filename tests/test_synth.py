@@ -206,13 +206,6 @@ class TestUnionOfSubspaces:
         assert gt.outlier_mask.sum() == 5
         np.testing.assert_array_equal(np.flatnonzero(gt.outlier_mask), np.arange(25, 30))
 
-    def test_clean_points_only_when_corrupted(self):
-        bases = orthogonal_ensemble(20, 2, 4, seed=16)
-        assert union_of_subspaces(bases, 10, seed=17).clean_points is None
-        gt = union_of_subspaces(bases, 10, seed=17, sigma2=0.1)
-        assert gt.clean_points is not None
-        assert np.max(np.abs(np.linalg.norm(gt.clean_points, axis=0) - 1.0)) < 1e-12
-
     def test_inlier_scale(self):
         bases = orthogonal_ensemble(20, 1, 4, seed=18)
         plain = union_of_subspaces(bases, 10, seed=19)
