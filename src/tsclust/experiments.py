@@ -179,8 +179,8 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ConfigError("every sweep axis must list at least one value")
     for cell in cells:
         filled = _filled(spec, cell)
-        if filled.sigma2 < 0:
-            raise ConfigError(f"sigma2 must be >= 0, got {filled.sigma2}")
+        if not (math.isfinite(filled.sigma2) and filled.sigma2 >= 0):
+            raise ConfigError(f"sigma2 must be finite and >= 0, got {filled.sigma2}")
         _SCENARIOS[spec.scenario].check(filled, cell)
 
 

@@ -182,9 +182,11 @@ def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
     or, with ``upper``, for every point ``i >= start`` only (column ``k`` of
     ``C`` is then point ``start + k``).
 
-    With ``normalize`` these are correlations in [0, 1], taken from columns
-    rescaled by :func:`power_of_two_scaled` so no norm overflows or
-    underflows (a zero column correlates 0 with all).  Without it the raw
+    With ``normalize`` these are correlations ``|<x_i/||x_i||, x_j/||x_j||>|``:
+    the columns, rescaled by :func:`power_of_two_scaled` so no norm
+    overflows or underflows, are divided by their norms once, and each
+    block of their Gram matrix is clamped to 1 (a zero column correlates 0
+    with all).  Without it the raw
     absolute inner products pass through unclamped and can exceed 1, or
     overflow to inf or NaN, which the callers check for.  Its two callers
     each make one pass: :func:`tsclust.tsc.select_neighbors` reads full rows,
@@ -193,9 +195,9 @@ def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
     """
     N = X.shape[1]
     if normalize:
-        X = power_of_two_scaled(X)
+        X = power_of_two_scaled(X)  # a fresh array, so divide it in place
         norms = np.linalg.norm(X, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
+        X /= np.where(norms > 0.0, norms, 1.0)
     # Raw products may overflow, which the callers report; numpy need not warn.
     quiet = {} if normalize else dict(over="ignore", invalid="ignore")
     for start in range(0, N, CORRELATION_BLOCK):
@@ -205,8 +207,6 @@ def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
             C = X[:, start:stop].T @ X[:, first:]
             np.abs(C, out=C)
         if normalize:
-            C /= norms[start:stop, None]
-            C /= norms[None, first:]
             np.minimum(C, 1.0, out=C)
         yield start, C
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ConfigError,
     DimMismatch,
     InsufficientImages,
     NonFinite,
@@ -148,13 +149,21 @@ def singular_value_profile(matrix) -> np.ndarray:
 
 def remove_top_principal_components(matrix, k: int) -> np.ndarray:
     """Subtract the projection onto the top-``k`` left singular vectors
-    (columns stay in place; the dominant rank-``k`` structure is removed)."""
+    (columns stay in place; the dominant rank-``k`` structure is removed).
+
+    Raises
+    ------
+    ConfigError
+        Unless ``k < min(m, N)``: removing every component leaves only
+        rounding noise.
+    """
     M = np.asarray(matrix, dtype=float)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return M.copy()
+    if k >= min(M.shape):
+        raise ConfigError(f"k={k} must be below min(m, N)={min(M.shape)} of a {M.shape} matrix")
     U, _, _ = np.linalg.svd(M, full_matrices=False)
-    k = min(k, U.shape[1])
     top = U[:, :k]
     return M - top @ (top.T @ M)

@@ -183,14 +183,14 @@ def corrupt(
     Raises
     ------
     InvalidDims
-        Unless ``sigma2 >= 0`` and ``0 <= s < m``.
+        Unless ``sigma2`` is finite and ``>= 0``, and ``0 <= s < m``.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise InvalidDims(f"points must be 2-D, got shape {X.shape}")
     m, N = X.shape
-    if sigma2 < 0:
-        raise InvalidDims(f"sigma2 must be >= 0, got {sigma2}")
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise InvalidDims(f"sigma2 must be finite and >= 0, got {sigma2}")
     if not 0 <= s < m:
         raise InvalidDims(f"need 0 <= s < m, got s={s}, m={m}")
     rng = np.random.default_rng(seed)
@@ -262,6 +262,11 @@ def union_of_subspaces(
     subspace.  ``inlier_scale`` multiplies the (noisy) inlier columns, e.g.
     ``1/sqrt(1 + sigma2)`` for the variance-rescaled noisy-outlier scenario.
     Outlier columns are never noise-corrupted or erased.
+
+    Raises
+    ------
+    InvalidDims
+        Unless ``inlier_scale`` is finite and ``> 0``; see also :func:`corrupt`.
     """
     L = len(bases)
     if L < 1:
@@ -278,6 +283,9 @@ def union_of_subspaces(
     labels = np.repeat(np.arange(1, L + 1), counts)
 
     inliers, erased = corrupt(clean, sigma2, erasures, derive_seed(seed, L + 1), noise_first)
+    # Checked after sigma2, from which the CLI derives its default scale.
+    if not (np.isfinite(inlier_scale) and inlier_scale > 0):
+        raise InvalidDims(f"inlier_scale must be finite and > 0, got {inlier_scale}")
     if inlier_scale != 1.0:
         inliers = inliers * inlier_scale
 

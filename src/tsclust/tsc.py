@@ -4,8 +4,9 @@ symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
 largest eigenvalue gap at the small end of the Laplacian spectrum, which is
 the only part computed (:data:`DEFAULT_MAX_L`).  Neighbor selection is
-the one pass over the |X^T X| kernel, :func:`~tsclust.geometry.correlation_blocks`;
-the ``exp`` weights read the correlations it picked (:class:`Neighbors`).
+the one pass over the |X^T X| kernel, :func:`~tsclust.geometry.correlation_blocks`,
+here the Gram matrix of the unit columns; the ``exp`` weights read the
+correlations it picked (:class:`Neighbors`).
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class TscConfig:
     its neighbors).  ``num_subspaces`` fixes the cluster count; ``None``
     estimates it with the eigengap heuristic, searching gap indices up to
     ``max_L`` (``None``: :data:`DEFAULT_MAX_L`), which also sizes the
-    computed spectrum.  ``correlation_normalize`` divides inner products by
-    the column norms so unnormalized inputs behave as if unit-normalized;
-    disable to rank raw absolute inner products as they are (the ``exp``
-    weights read those above 1 as 1).
+    computed spectrum.  ``correlation_normalize`` divides the columns by
+    their norms before the inner products, so unnormalized inputs behave as
+    if unit-normalized; disable to rank raw absolute inner products as they
+    are (the ``exp`` weights read those above 1 as 1).
     """
 
     q: int
@@ -148,14 +149,19 @@ def default_q(n: int, L_known: bool) -> int:
 
 def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``C``, the q column indices of largest value in descending
-    order (ties to the lower index, NaN above all) and those values."""
+    order (ties to the lower index, NaN above all) and those values.
+
+    ``C`` is scratch: its picked entries are overwritten."""
     top = np.argpartition(C, C.shape[1] - q, axis=1)[:, -q:]
     top.sort(axis=1)
     vals = np.take_along_axis(C, top, axis=1)
-    # A row whose q-th value recurs outside the partition's pick takes the
-    # lowest-indexed of the tied entries instead.
+    # A row's q-th value recurs outside the partition's pick exactly when the
+    # best value left out reaches it; such a row takes the lowest-indexed of
+    # the tied entries instead.
     kth = vals.min(axis=1)
-    for b in np.flatnonzero(np.count_nonzero(C >= kth[:, None], axis=1) > q):
+    np.put_along_axis(C, top, -np.inf, axis=1)
+    for b in np.flatnonzero(C.max(axis=1) >= kth):
+        C[b, top[b]] = vals[b]
         cand = np.flatnonzero(C[b] >= kth[b])
         cand = cand[np.argsort(-C[b, cand], kind="stable")[:q]]
         top[b] = np.sort(cand)
@@ -166,8 +172,9 @@ def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighbors:
     """For each point j, the q indices i != j with largest absolute
-    correlation, in descending order (ties go to the lower index), and
-    those correlations.
+    correlation ``|<x_i/||x_i||, x_j/||x_j||>|`` (clamped to 1; the columns
+    are divided by their norms once), in descending order (ties go to the
+    lower index), and those correlations.
 
     This is the one pass over :func:`~tsclust.geometry.correlation_blocks`;
     no N x N matrix is formed.  Without ``normalize`` the raw absolute inner

@@ -214,6 +214,13 @@ class TestExperimentCommand:
         assert proc.returncode == 2, proc.stderr
         assert "n must not be null" in proc.stderr
 
+    def test_non_finite_sigma2_exits_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"scenario": "noise-grid", "sigma2_values": [NaN]}')
+        proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "sigma2 must be finite" in proc.stderr
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -270,6 +277,23 @@ class TestGenCommand:
         proc = run_cli("gen", "--out", tmp_path / "x", "--m", 4, "--d", 5, "--n", 3)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma2", "nan"], "sigma2 must be finite"),
+            (["--sigma2", "inf"], "sigma2 must be finite"),
+            (["--inlier-scale", "inf"], "inlier_scale must be finite and > 0"),
+            (["--inlier-scale", "0"], "inlier_scale must be finite and > 0"),
+            (["--inlier-scale", "-1"], "inlier_scale must be finite and > 0"),
+        ],
+    )
+    def test_bad_noise_or_scale_exit_2(self, tmp_path, flags, message):
+        prefix = tmp_path / "x"
+        proc = run_cli("gen", "--out", prefix, "--m", 20, "--d", 3, "--n", 5, *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert not prefix.with_suffix(".csv").exists()
+
 
 class TestMnistSvCommand:
     def test_profiles(self, tmp_path):
@@ -312,6 +336,14 @@ class TestClusterFlags:
             "--out-labels", tmp_path / "l.csv", "--out-json", tmp_path / "r.json",
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_remove_top_k_of_every_component_exits_2(self, tmp_path, orthogonal_fixture):
+        # The fixture has m = 30 < N = 120: k = 30 would leave rounding noise.
+        proc = run_cli("cluster", orthogonal_fixture, "--q", 5, "--remove-top-k", 30,
+                       "--out-labels", tmp_path / "l.csv", "--out-json", tmp_path / "r.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "k=30 must be below min(m, N)=30" in proc.stderr
+        assert not (tmp_path / "l.csv").exists()
 
     def test_no_normalize_flag(self, tmp_path, orthogonal_fixture):
         proc = run_cli(

@@ -98,6 +98,21 @@ class TestLoadSpec:
     @pytest.mark.parametrize(
         "raw",
         [
+            {"scenario": "grid", "sigma2": float("nan")},
+            {"scenario": "outliers", "sigma2": float("inf")},
+            {"scenario": "noise-grid", "sigma2_values": [0.1, float("nan")]},
+            {"scenario": "huge-noise", "sigma2_values": [float("inf")]},
+            {"scenario": "grid", "sigma2": -0.1},
+        ],
+        ids=["nan", "inf", "nan-axis", "inf-axis", "negative"],
+    )
+    def test_bad_sigma2_rejected(self, raw):
+        with pytest.raises(ConfigError, match="^sigma2 must be finite and >= 0"):
+            load_spec(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
             {"scenario": "grid", "sigma2": 0},
             {"scenario": "outliers", "outlier_factor": 2, "sigma2": 0.1},
             {"scenario": "grid", "q": None, "max_L": None},

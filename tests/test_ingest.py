@@ -5,6 +5,7 @@ import pytest
 
 from tsclust.errors import (
     BadMagic,
+    ConfigError,
     DimMismatch,
     InsufficientImages,
     NonFinite,
@@ -178,8 +179,13 @@ class TestRemoveTopComponents:
         np.testing.assert_array_equal(out, M)
         assert out is not M
 
-    def test_k_at_least_rank_zeroes(self):
+    def test_k_at_least_min_dim_rejected(self):
         rng = np.random.default_rng(8)
-        M = rng.standard_normal((5, 7))
-        out = remove_top_principal_components(M, 5)
-        assert np.max(np.abs(out)) < 1e-10
+        for M in (rng.standard_normal((5, 7)), rng.standard_normal((7, 5))):
+            for k in (5, 6, 20):
+                with pytest.raises(ConfigError, match=f"k={k} must be below min"):
+                    remove_top_principal_components(M, k)
+            # One component short of all of them leaves the weakest one.
+            residual = np.linalg.svd(remove_top_principal_components(M, 4), compute_uv=False)
+            np.testing.assert_allclose(residual[0], np.linalg.svd(M, compute_uv=False)[-1])
+            assert np.all(residual[1:] < 1e-12)

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -37,20 +39,24 @@ CLUSTER_TOL = 1e-8
 
 
 def dense_abs_correlations(X, normalize=True):
-    G = X.T @ X
+    """The N x N |X^T X|, row j for point j; with ``normalize``, the Gram
+    matrix of the columns divided by their norms (zero columns stay zero),
+    clamped to 1.  Rows are multiplied in blocks of ``CORRELATION_BLOCK``
+    points as the kernel multiplies them: BLAS rounds the last bit of a
+    product by where it falls in the block's tiles."""
     if normalize:
         norms = np.linalg.norm(X, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        G /= norms[None, :]
-        G /= norms[:, None]
-    return np.clip(np.abs(G), 0.0, 1.0)
+        X = X / np.where(norms > 0.0, norms, 1.0)
+    block = geometry.CORRELATION_BLOCK
+    C = np.abs(np.vstack([X[:, s:s + block].T @ X for s in range(0, X.shape[1], block)]))
+    return np.minimum(C, 1.0) if normalize else C
 
 
 def dense_neighbors(X, q, normalize=True):
     C = dense_abs_correlations(X, normalize)
     np.fill_diagonal(C, -1.0)
-    order = np.argsort(-C, axis=0, kind="stable")
-    return [order[:q, j].copy() for j in range(X.shape[1])]
+    order = np.argsort(-C, axis=1, kind="stable")
+    return [order[j, :q].copy() for j in range(X.shape[1])]
 
 
 def dense_laplacian(points, config):
@@ -62,7 +68,7 @@ def dense_laplacian(points, config):
     if config.weight_variant == "exp":
         C = dense_abs_correlations(X)
         for j, idx in enumerate(neighbors):
-            Z[idx, j] = np.exp(-2.0 * np.arccos(C[idx, j]))
+            Z[idx, j] = np.exp(-2.0 * np.arccos(C[j, idx]))
     else:
         for j, idx in enumerate(neighbors):
             Z[idx, j] = np.abs(least_squares(X[:, idx], X[:, j]))
@@ -688,7 +694,7 @@ class TestStagesMatchDense:
         for j, idx in enumerate(neighbors.index):
             col = Z[:, [j]].toarray().ravel()
             if variant == "exp":
-                np.testing.assert_array_equal(col[idx], np.exp(-2.0 * np.arccos(C[idx, j])))
+                np.testing.assert_array_equal(col[idx], np.exp(-2.0 * np.arccos(C[j, idx])))
             assert np.count_nonzero(np.delete(col, idx)) == 0
 
     def test_laplacian_matches_dense_formula(self):
@@ -735,12 +741,44 @@ class TestNeighborTiesAcrossBlocks:
             for j in range(N):
                 np.testing.assert_array_equal(got.index[j], expected[j])
                 # The correlations come with the neighbors, bit for bit.
-                np.testing.assert_array_equal(got.corr[j], C[got.index[j], j])
-                kth = C[expected[j][-1], j]
-                tied_at_q += int(np.count_nonzero(C[:, j] == kth) > np.count_nonzero(
-                    C[expected[j], j] == kth))
+                np.testing.assert_array_equal(got.corr[j], C[j, got.index[j]])
+                kth = C[j, expected[j][-1]]
+                tied_at_q += int(np.count_nonzero(C[j] == kth) > np.count_nonzero(
+                    C[j, expected[j]] == kth))
         # The q-th value is shared with an unselected point in many columns.
         assert tied_at_q > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 7, 256]), normalize=st.booleans())
+    def test_property_matches_dense_top_q(self, data, block, normalize):
+        """Small integer directions, each repeated, so rows tie at the q-th
+        value inside and outside the pick; with ``normalize`` each column is
+        scaled by 2^k or 10^k, without it the raw products exceed 1."""
+        m = data.draw(st.integers(2, 5), label="m")
+        directions = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=2, max_size=8))
+        reps = data.draw(st.lists(st.integers(1, 4), min_size=len(directions),
+                                  max_size=len(directions)))
+        X = np.repeat(np.array(directions, dtype=float).T, reps, axis=1)
+        N = X.shape[1]
+        X = X[:, data.draw(st.permutations(range(N)), label="perm")]
+        if normalize:
+            # Squared norms stay normal numbers, so the dense oracle needs no
+            # rescale of its own.
+            scales = data.draw(st.lists(st.one_of(
+                st.integers(-500, 500).map(lambda k: 2.0**k),
+                st.integers(-150, 150).map(lambda k: 10.0**k),
+            ), min_size=N, max_size=N))
+            X = X * np.array(scales)
+        q = data.draw(st.integers(1, N - 1), label="q")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "CORRELATION_BLOCK", block)
+            got = select_neighbors(PointSet(X), q, normalize=normalize)
+            C = dense_abs_correlations(X, normalize)
+            expected = dense_neighbors(X, q, normalize)
+        for j in range(N):
+            np.testing.assert_array_equal(got.index[j], expected[j])
+            np.testing.assert_array_equal(got.corr[j], C[j, expected[j]])
 
     def test_duplicates_in_other_block_come_first_by_index(self, monkeypatch):
         monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 2)

@@ -173,8 +173,9 @@ class TestCorrupt:
 
     def test_bad_params(self):
         X = np.zeros((4, 2))
-        with pytest.raises(InvalidDims):
-            corrupt(X, -1.0, 0, seed=0)
+        for sigma2 in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidDims, match="sigma2 must be finite"):
+                corrupt(X, sigma2, 0, seed=0)
         with pytest.raises(InvalidDims):
             corrupt(X, 0.0, 4, seed=0)
 
@@ -211,6 +212,12 @@ class TestUnionOfSubspaces:
         plain = union_of_subspaces(bases, 10, seed=19)
         scaled = union_of_subspaces(bases, 10, seed=19, inlier_scale=0.5)
         np.testing.assert_allclose(scaled.points.data, plain.points.data * 0.5)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_inlier_scale(self, scale):
+        bases = orthogonal_ensemble(20, 1, 4, seed=18)
+        with pytest.raises(InvalidDims, match="inlier_scale must be finite and > 0"):
+            union_of_subspaces(bases, 10, seed=19, inlier_scale=scale)
 
     def test_save_round_trip(self, tmp_path):
         import json

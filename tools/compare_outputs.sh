@@ -7,8 +7,11 @@
 # commands with the `tsclust` package found in each `src/` tree, writing to
 # WORK_DIR/old and WORK_DIR/new (default: a fresh temporary directory), and
 # compares the two with `diff -r`.  Experiment manifests are compared with
-# their wall-clock `trial_seconds` removed.  Exits 0 when every output is
-# byte-identical, 1 when some differ.  Takes a few minutes on one core.
+# their wall-clock `trial_seconds` removed.  When outputs differ, a summary
+# follows the diff: for each differing `*.result.json` whether `labels` and
+# `L_hat` are equal, for each differing CSV the largest absolute difference
+# between its numeric cells.  Exits 0 when every output is byte-identical,
+# 1 when some differ.  Takes a few minutes on one core.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -97,6 +100,46 @@ count=$(find "$work/new" -type f | wc -l)
 if diff -r "$work/old" "$work/new"; then
   echo "all $count outputs byte-identical ($work)"
 else
+  python3 - "$work/old" "$work/new" <<'PY' || true
+import csv, json, sys
+from pathlib import Path
+
+old_dir, new_dir = Path(sys.argv[1]), Path(sys.argv[2])
+
+
+def cells(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
+    name = new.relative_to(new_dir)
+    old = old_dir / name
+    if not old.is_file() or old.read_bytes() == new.read_bytes():
+        continue
+    if new.name.endswith(".result.json"):
+        a, b = (json.loads(p.read_text()) for p in (old, new))
+        same = {key: "equal" if a.get(key) == b.get(key) else "DIFFER" for key in ("labels", "L_hat")}
+        print(f"{name}: labels {same['labels']}, L_hat {same['L_hat']}")
+    elif new.suffix == ".csv":
+        a, b = cells(old), cells(new)
+        if [len(row) for row in a] != [len(row) for row in b]:
+            print(f"{name}: rows or columns differ")
+            continue
+        largest, text = 0.0, 0
+        for x, y in zip((c for row in a for c in row), (c for row in b for c in row)):
+            if x == y:
+                continue
+            try:
+                change = abs(float(x) - float(y))
+            except ValueError:
+                text += 1
+                continue
+            if not change <= largest:  # a NaN is kept
+                largest = change
+        note = f", {text} non-numeric cells differ" if text else ""
+        print(f"{name}: largest absolute difference {largest:.3g}{note}")
+PY
   echo "outputs differ ($work)" >&2
   exit 1
 fi
