@@ -6,9 +6,8 @@ product of their orthonormal bases, which are the cosines of the principal
 angles between them.  Whatever divides by column norms first rescales the
 columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
 The blocked |X^T X| kernel :func:`correlation_blocks` serves neighbor
-selection (whose picks carry the ``exp`` weights' correlations) and the
-outlier scores, which read only its upper strips and so each inner product
-once; every CSV the package writes goes through :func:`write_csv`.
+selection, whose picks carry the ``exp`` weights' correlations; every CSV
+the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -176,11 +175,9 @@ def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
     return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
 
 
-def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
+def correlation_blocks(X: np.ndarray, normalize: bool):
     """Yield ``(start, C)`` over blocks of ``CORRELATION_BLOCK`` points,
-    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i,
-    or, with ``upper``, for every point ``i >= start`` only (column ``k`` of
-    ``C`` is then point ``start + k``).
+    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i.
 
     With ``normalize`` these are correlations ``|<x_i/||x_i||, x_j/||x_j||>|``:
     the columns, rescaled by :func:`power_of_two_scaled` so no norm
@@ -188,23 +185,20 @@ def correlation_blocks(X: np.ndarray, normalize: bool, upper: bool = False):
     block of their Gram matrix is clamped to 1 (a zero column correlates 0
     with all).  Without it the raw
     absolute inner products pass through unclamped and can exceed 1, or
-    overflow to inf or NaN, which the callers check for.  Its two callers
-    each make one pass: :func:`tsclust.tsc.select_neighbors` reads full rows,
-    and :func:`tsclust.outliers.detect_outliers` reads the upper strips, so
-    it computes each inner product once.
+    overflow to inf or NaN, which the caller checks for.  Its caller,
+    :func:`tsclust.tsc.select_neighbors`, makes one pass over the blocks.
     """
     N = X.shape[1]
     if normalize:
         X = power_of_two_scaled(X)  # a fresh array, so divide it in place
         norms = np.linalg.norm(X, axis=0)
         X /= np.where(norms > 0.0, norms, 1.0)
-    # Raw products may overflow, which the callers report; numpy need not warn.
+    # Raw products may overflow, which the caller reports; numpy need not warn.
     quiet = {} if normalize else dict(over="ignore", invalid="ignore")
     for start in range(0, N, CORRELATION_BLOCK):
         stop = min(start + CORRELATION_BLOCK, N)
-        first = start if upper else 0
         with np.errstate(**quiet):
-            C = X[:, start:stop].T @ X[:, first:]
+            C = X[:, start:stop].T @ X
             np.abs(C, out=C)
         if normalize:
             np.minimum(C, 1.0, out=C)

@@ -4,10 +4,10 @@ A point is flagged as an outlier when its largest absolute inner product
 against every other point falls below ``c * sqrt(log N) / sqrt(m)`` (natural
 log).  Scores use the raw inner products, not correlation-normalized ones:
 the calibration of the two reference constants assumes the stated point
-models, and renormalizing would shift the threshold.  The scores come from
-the blocked |X^T X| kernel that neighbor selection uses,
-:func:`tsclust.geometry.correlation_blocks`, read unnormalized and unclamped
-and only in its upper strips, so each inner product is computed once.
+models, and renormalizing would shift the threshold.  Each score is the
+float64 maximum over all other points, found by a float32 screen of the
+upper strips of |X^T X| and a float64 rescoring of the few products that
+can hold the maximum (:func:`_max_abs_inner_products`).
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import ConfigError, NonFinite, TooFewPoints
-from .geometry import PointSet, correlation_blocks, write_csv
+from .geometry import PointSet, write_csv
 
 #: Threshold constant calibrated for unit-norm inliers and sphere outliers.
 NOISELESS_C = math.sqrt(6.0)
@@ -28,6 +29,10 @@ NOISELESS_C = math.sqrt(6.0)
 #: Threshold constant calibrated for noisy, variance-rescaled inliers and
 #: Gaussian outliers.
 NOISY_C = 2.3 * math.sqrt(6.0)
+
+#: Points per group of the float32 screen: each point is rescored in float64
+#: against the group that holds its best screened partner.
+_GROUP = 32
 
 
 def threshold_constant(c=None, noisy: bool = False) -> float:
@@ -98,18 +103,133 @@ def detect_outliers(points: PointSet, c: float = NOISELESS_C) -> OutlierReport:
 
 
 def _max_abs_inner_products(X: np.ndarray) -> np.ndarray:
-    """Each point's largest ``|<x_i, x_j>|`` over ``j != i``, NaN if any is.
+    """Each point's largest float64 ``|<x_i, x_j>|`` over ``j != i``, NaN if any is.
 
-    Strip rows ``start:stop`` hold the products with points ``j >= start``
-    only: their row max covers the strip's own points, and their column max
-    right of the diagonal block the later points, so each product is read
-    once.  ``np.maximum``, unlike ``np.fmax``, keeps a NaN.
+    A float32 screen (:func:`_screen`) finds, for each point i, the group of
+    ``G = gcd(CORRELATION_BLOCK, _GROUP)`` consecutive points holding its
+    best screened product ``b_i``, and the best product ``s_i`` outside that
+    group.  Point i is rescored in float64 against that group only, unless
+    the screen cannot prove that the group holds the float64 maximum; such
+    points, and those whose products could overflow, get their whole
+    float64 row (:func:`_full_rows`).
+
+    *Proof.*  Let ``u = 2^-24``, ``v = 2^-53``, ``gamma_k(u) = k u / (1 - k u)``,
+    ``x~ = 2^-e x`` the columns scaled so that ``max |x~| < 1``, ``y`` their
+    float32 roundings and ``n_i`` the norm of ``y_i`` computed in float64.
+    The screened |product| of i and j differs from ``|x~_i^T x~_j|`` by at
+    most ``gamma_{m+2}(u) |x~_i|^T |x~_j| + 2m 2^-126``: two roundings to
+    float32, the float32 dot product (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), and at most ``2^-126`` for each of
+    its 2m operations that underflows or flushes to zero.  The float64
+    product, scaled by ``2^-2e``, differs from it by at most
+    ``gamma_m(v) |x~_i|^T |x~_j| + 2m 2^(-1022-2e)``, and
+    ``|x~_i|^T |x~_j| <= ||x~_i|| ||x~_j||`` with
+    ``||x~_i|| <= (1 + u) n_i + sqrt(m) 2^-150``.  So each screened
+    product is within ``eps_i / 2`` of its float64 value, where
+
+        eps_i = 2 [(gamma_{m+4}(u) + (m+4) v) n_i max_j n_j
+                   + 4m (2^-126 + 2^(-1022-2e))];
+
+    the 4 in place of 2 covers the rounding of the computed norms and of
+    ``eps_i`` itself and the ``sqrt(m) 2^-150`` term, for ``m < 2^20``.
+    If ``s_i + eps_i < b_i``, every float64 product outside the group is
+    below the float64 product of i's best screened partner, so the group
+    holds the maximum.  Equal screened bests give ``s_i = b_i`` and fail.
+
+    Rows with ``n_i max_j n_j 2^2e >= 2^1000`` could overflow and take the
+    whole row, as does every row when X is not finite, ``m >= 2^20``, or
+    ``max |x| < 2^-500`` (products within float64's underflow error).  The
+    whole rows keep a NaN, so a fault reaches every point it touches.
     """
-    scores = np.full(X.shape[1], -np.inf)
-    for start, C in correlation_blocks(X, normalize=False, upper=True):
-        b = C.shape[0]
-        np.fill_diagonal(C, -np.inf)
-        own, later = scores[start:start + b], scores[start + b:]
-        np.maximum(own, C.max(axis=1), out=own)
-        np.maximum(later, C[:, b:].max(axis=0), out=later)
+    m, N = X.shape
+    hi, lo = X.max(), X.min()  # NaN if any entry is
+    e = int(np.frexp(max(hi, -lo))[1])
+    if not (math.isfinite(hi) and math.isfinite(lo)) or m >= 2**20 or e < -500:
+        return _full_rows(X, np.arange(N))
+    G = math.gcd(geometry.CORRELATION_BLOCK, _GROUP)
+    best, group, second, norms = _screen(X, e, G)
+    bound = norms * norms.max()
+    k = m + 4
+    eps = 2.0 * ((k * 2.0**-24 / (1.0 - k * 2.0**-24) + k * 2.0**-53) * bound
+                 + 4 * m * (2.0**-126 + 2.0 ** (-1022 - 2 * e)))
+    proven = (second + eps < best) & (bound < 2.0 ** min(1000 - 2 * e, 1000))
+    scores = np.empty(N)
+    rows = np.flatnonzero(proven)
+    rows = rows[np.argsort(group[rows], kind="stable")]
+    groups, firsts = np.unique(group[rows], return_index=True)
+    for g, P in zip(groups, np.split(rows, firsts[1:])):
+        C = np.abs(X[:, P].T @ X[:, g * G:(g + 1) * G])
+        C[P[:, None] == np.arange(g * G, g * G + C.shape[1])] = -np.inf
+        scores[P] = C.max(axis=1)
+    full = np.flatnonzero(~proven)
+    scores[full] = _full_rows(X, full)
     return scores
+
+
+def _screen(X: np.ndarray, e: int, G: int):
+    """The float32 screen of ``|X^T X|`` over its upper strips.
+
+    Returns, for each point, its best screened ``|product|``, the group of
+    ``G`` points that holds it (group ``g`` is points ``gG`` to
+    ``gG + G - 1``), the best screened product outside that group, and the
+    float64 norm of its scaled float32 column.  Strip rows ``start:stop``
+    hold the products with points ``j >= start``: their rows serve the
+    strip's own points, and their columns right of the diagonal block the
+    later points, as maxima over each group of G strip points, so each
+    product is computed once.  ``G`` divides the strip length, so no group
+    spans two strips and each point meets each group once.
+    """
+    N = X.shape[1]
+    Y = np.empty(X.shape, np.float32)
+    np.multiply(X, 2.0**-e, out=Y, casting="same_kind")
+    norms = np.sqrt(np.einsum("ij,ij->j", Y, Y, dtype=float))
+    best = np.full(N, -np.inf, np.float32)
+    second = best.copy()
+    group = np.zeros(N, np.intp)
+    for start in range(0, N, geometry.CORRELATION_BLOCK):
+        stop = min(start + geometry.CORRELATION_BLOCK, N)
+        b = stop - start
+        C = Y[:, start:stop].T @ Y[:, start:]
+        np.abs(C, out=C)
+        np.fill_diagonal(C, -np.inf)
+        if stop < N:
+            M = C[:, b:].reshape(b // G, G, N - stop).max(axis=1)
+            g = M.argmax(axis=0)[None]
+            top = np.take_along_axis(M, g, 0)[0]
+            np.put_along_axis(M, g, -np.inf, 0)
+            _fold(best[stop:], group[stop:], second[stop:], top, start // G + g[0], M.max(axis=0))
+        k = C.argmax(axis=1)[:, None]
+        top = np.take_along_axis(C, k, 1)[:, 0]
+        cols = np.minimum(k // G * G + np.arange(G), N - start - 1)
+        np.put_along_axis(C, cols, -np.inf, 1)
+        _fold(best[start:stop], group[start:stop], second[start:stop], top, (start + k[:, 0]) // G,
+              C.max(axis=1))
+        del C  # so that the next strip is not made while this one is held
+    return best, group, second, norms
+
+
+def _fold(best, group, second, top, top_group, rest) -> None:
+    """Merge a candidate best ``top`` in ``top_group``, with ``rest`` the
+    best outside it, into the running ``best``, ``group`` and ``second``
+    (in place).  The groups differ, so the lower of the two bests joins
+    the runners-up."""
+    np.maximum(second, np.maximum(rest, np.minimum(best, top)), out=second)
+    wins = top > best
+    np.copyto(best, top, where=wins)
+    np.copyto(group, top_group, where=wins)
+
+
+def _full_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The largest ``|<x_i, x_j>|`` over ``j != i`` for each point i in
+    ``rows``, from whole float64 rows in chunks of ``CORRELATION_BLOCK``;
+    a NaN product makes the score NaN."""
+    out = np.empty(len(rows))
+    for at in range(0, len(rows), geometry.CORRELATION_BLOCK):
+        chunk = rows[at:at + geometry.CORRELATION_BLOCK]
+        # Raw products may overflow, which the caller reports; numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = X[:, chunk].T @ X
+            np.abs(C, out=C)
+        C[np.arange(len(chunk)), chunk] = -np.inf
+        out[at:at + len(chunk)] = C.max(axis=1)
+    return out

@@ -1,14 +1,46 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsclust import geometry
+from tsclust import geometry, outliers
 from tsclust.errors import ConfigError, NonFinite, TooFewPoints
 from tsclust.geometry import PointSet
 from tsclust.metrics import outlier_confusion
 from tsclust.outliers import NOISELESS_C, NOISY_C, _max_abs_inner_products, detect_outliers
-from tsclust.synth import orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_ensemble, orthogonal_ensemble, union_of_subspaces
+
+
+def dense_scores(X):
+    """Each point's largest |<x_i, x_j>| over j != i, from the whole float64 |X^T X|."""
+    dense = np.abs(X.T @ X)
+    np.fill_diagonal(dense, -np.inf)
+    return dense.max(axis=1)
+
+
+def outlier_scenario(m, seed):
+    """An ``outliers``-experiment input: 2m/5 subspaces of dimension 5 with 50
+    points each, and as many sphere outliers as inliers (N = 40 m)."""
+    L = 2 * m // 5
+    return union_of_subspaces(
+        haar_ensemble(m, L, 5, seed), 50, seed + 1, n_outliers=50 * L, outlier_mode="sphere"
+    ).points
+
+
+def count_full_rows(patch):
+    """Record the points that ``_max_abs_inner_products`` scores from whole rows."""
+    rows = []
+    full_rows = outliers._full_rows
+
+    def counted(X, chunk):
+        rows.extend(chunk.tolist())
+        return full_rows(X, chunk)
+
+    patch.setattr(outliers, "_full_rows", counted)
+    return rows
 
 
 class TestConstants:
@@ -155,6 +187,93 @@ class TestDetectionQuality:
         dense = np.abs(X.T @ X)
         np.fill_diagonal(dense, -np.inf)
         np.testing.assert_array_equal(detect_outliers(PointSet(X)).scores, dense.max(axis=1))
+
+
+class TestFloat32Screen:
+    """The float32 screen with float64 rescoring of each point's best group,
+    against the whole float64 |X^T X|."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        block=st.sampled_from([1, 7, 8, 256]),
+        N=st.sampled_from([2, 31, 32, 33, 255, 257, 600]),
+        sphere=st.booleans(),
+    )
+    def test_matches_dense_oracle(self, data, block, N, sphere):
+        """Gaussian or unit columns, some duplicated, and one point whose best
+        partner has a rival within 1e-9 relative in another group: far below
+        the float32 screen's error, so that point must take its whole row."""
+        m = data.draw(st.integers(1, 40), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((m, N))
+        if sphere:
+            X /= np.linalg.norm(X, axis=0)
+        for a, b in data.draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)),
+                                       max_size=4), label="duplicates"):
+            X[:, b] = X[:, a]
+        G = math.gcd(block, outliers._GROUP)
+        i = data.draw(st.integers(0, N - 1), label="i")
+        j = int(np.argmax(np.where(np.arange(N) == i, -np.inf, np.abs(X[:, i] @ X))))
+        others = [k for k in range(N) if k != i and k // G != j // G]
+        rival = data.draw(st.sampled_from(others), label="rival") if others else None
+        if rival is not None:
+            X[:, rival] = X[:, j] * (1.0 + 1e-9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "CORRELATION_BLOCK", block)
+            full = count_full_rows(patch)
+            report = detect_outliers(PointSet(X))
+        oracle = dense_scores(X)
+        norms = np.linalg.norm(X, axis=0)
+        tol = 4 * (m + 2) * 2.0**-53 * norms * norms.max()
+        assert np.all(np.abs(report.scores - oracle) <= tol)
+        clear = np.abs(oracle - report.threshold) > tol
+        np.testing.assert_array_equal(report.flags[clear], (oracle < report.threshold)[clear])
+        if rival is not None and abs(X[:, i] @ X[:, j]) > 0.0:
+            assert i in full
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-200, 200))
+    def test_power_of_two_scale(self, k):
+        # A scale 2^k shared by all columns moves the screen's exponent by k
+        # and no float32 bit, so the same rows are rescored in the same
+        # float64 products, each scaled by exactly 2^2k.
+        X = outlier_scenario(20, 5).data
+        # Points whose best partner is copied tie and take the whole row.
+        X = np.hstack([X, X[:, :40]])
+        np.testing.assert_array_equal(
+            _max_abs_inner_products(np.ldexp(X, k)), np.ldexp(_max_abs_inner_products(X), 2 * k)
+        )
+
+    def test_duplicated_points_take_the_whole_row(self, monkeypatch):
+        # Each point's two copies tie for its best product, 40 points apart,
+        # so in different groups: no point can be proven from its group.
+        Y = np.random.default_rng(7).standard_normal((20, 40))
+        X = np.hstack([Y, Y, Y])
+        full = count_full_rows(monkeypatch)
+        scores = _max_abs_inner_products(X)
+        assert sorted(full) == list(range(120))
+        np.testing.assert_allclose(scores, dense_scores(X), rtol=1e-14)
+
+    def test_few_points_take_the_whole_row(self, monkeypatch):
+        # The m=100 cell of the outliers experiment: N = 4000.
+        X = outlier_scenario(100, 3).data
+        full = count_full_rows(monkeypatch)
+        scores = _max_abs_inner_products(X)
+        assert len(full) < 0.01 * X.shape[1]
+        np.testing.assert_allclose(scores, dense_scores(X), rtol=1e-13)
+
+    def test_peak_memory(self):
+        # The m=200, N=8000 cell: the float32 points (6.1 MiB) and one float32
+        # strip of 256 x 8000 products (7.8 MiB) at a time.
+        points = outlier_scenario(200, 4)
+        tracemalloc.start()
+        try:
+            detect_outliers(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * 2**20
 
 
 class TestReportCsv:

@@ -9,9 +9,11 @@
 # compares the two with `diff -r`.  Experiment manifests are compared with
 # their wall-clock `trial_seconds` removed.  When outputs differ, a summary
 # follows the diff: for each differing `*.result.json` whether `labels` and
-# `L_hat` are equal, for each differing CSV the largest absolute difference
-# between its numeric cells.  Exits 0 when every output is byte-identical,
-# 1 when some differ.  Takes a few minutes on one core.
+# `L_hat` are equal, for each differing CSV the largest absolute and relative
+# difference between its numeric cells, and for each differing
+# `*.outliers.csv` whether its `is_outlier` column is equal.  Exits 0 when
+# every output is byte-identical, 1 when some differ.  Takes a few minutes on
+# one core.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -66,6 +68,8 @@ run_all() {
 
   tsc outliers plain.csv --out plain.outliers.csv
   tsc outliers gauss.csv --c noisy --out gauss.outliers.csv
+  # 1200 points: five strips of the outlier screen and many groups.
+  tsc outliers multi.csv --out multi.outliers.csv
 
   local spec name
   for spec in \
@@ -126,7 +130,7 @@ for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
         if [len(row) for row in a] != [len(row) for row in b]:
             print(f"{name}: rows or columns differ")
             continue
-        largest, text = 0.0, 0
+        largest, relative, text = 0.0, 0.0, 0
         for x, y in zip((c for row in a for c in row), (c for row in b for c in row)):
             if x == y:
                 continue
@@ -137,8 +141,15 @@ for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
                 continue
             if not change <= largest:  # a NaN is kept
                 largest = change
+            scale = max(abs(float(x)), abs(float(y)))
+            if scale > 0.0 and not change / scale <= relative:
+                relative = change / scale
         note = f", {text} non-numeric cells differ" if text else ""
-        print(f"{name}: largest absolute difference {largest:.3g}{note}")
+        if new.name.endswith(".outliers.csv"):
+            column = a[0].index("is_outlier")
+            same = [row[column] for row in a] == [row[column] for row in b]
+            note += f", is_outlier {'equal' if same else 'DIFFER'}"
+        print(f"{name}: largest absolute difference {largest:.3g} (relative {relative:.3g}){note}")
 PY
   echo "outputs differ ($work)" >&2
   exit 1
