@@ -19,7 +19,6 @@ from .errors import (
     InvalidK,
     LengthMismatch,
     NonFinite,
-    NonOrthonormalBasis,
     QTooLarge,
     TooFewPoints,
     TruncatedFile,
@@ -28,10 +27,8 @@ from .errors import (
 )
 from .geometry import (
     PointSet,
-    PrincipalAngleReport,
     SubspaceBasis,
     normalize_columns,
-    principal_angles,
 )
 from .ingest import (
     IdxDataset,
@@ -39,7 +36,6 @@ from .ingest import (
     remove_top_principal_components,
     singular_value_profile,
     subsample_digits,
-    write_idx,
 )
 from .metrics import (
     clustering_error,
@@ -80,7 +76,6 @@ from .tsc import (
     normalized_laplacian,
     run_tsc,
     select_neighbors,
-    spectral_cluster,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, IdxFormatError, NonFinite, TscError
+from .errors import ConfigError, FileFormatError, InsufficientImages, NonFinite, TscError
 from .experiments import load_spec_file, run_experiment
 from .geometry import PointSet, format_cell, write_csv
 from .ingest import load_idx, remove_top_principal_components, singular_value_profile
@@ -164,17 +164,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mnist_sv(args) -> int:
+    if args.digits != "all" and not set(args.digits.split(",")) <= set("0123456789"):
+        raise ConfigError(f"--digits must be 'all' or digits 0-9, got {args.digits!r}")
     ds = load_idx(args.images, args.labels)
-    digits = (
-        list(range(10))
+    digits = sorted(
+        set(range(10)) & set(ds.digit_labels.tolist())
         if args.digits == "all"
-        else sorted({int(v) for v in args.digits.split(",")})
+        else {int(v) for v in args.digits.split(",")}
     )
     rows = []
     for digit in digits:
         block = ds.images[:, ds.digit_labels == digit]
         if block.shape[1] == 0:
-            continue
+            raise InsufficientImages(f"digit {digit}: no images in {args.labels}")
         if args.center:
             block = block - block.mean(axis=1, keepdims=True)
         if args.remove_top_k:
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mnist-sv", help="per-digit singular-value profiles")
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--digits", default="all", help="comma-separated digits, or 'all'")
+    p.add_argument("--digits", default="all",
+                   help="comma-separated digits 0-9, or 'all' (each digit with images)")
     p.add_argument("--center", action="store_true", help="subtract the class mean image")
     p.add_argument("--remove-top-k", type=int, default=0, metavar="K")
     p.add_argument("--out", required=True)
@@ -263,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, IdxFormatError) as exc:
+    except (OSError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonFinite, np.linalg.LinAlgError, FloatingPointError) as exc:

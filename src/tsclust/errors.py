@@ -13,10 +13,6 @@ class ZeroVector(TscError):
         self.column = column
 
 
-class NonOrthonormalBasis(TscError):
-    """A basis matrix violates its orthonormality contract."""
-
-
 class NonFinite(TscError):
     """Input contains NaN or Inf where finite values are required."""
 
@@ -45,19 +41,19 @@ class ConfigError(TscError):
     """Invalid configuration value (CLI flag, experiment spec field, ...)."""
 
 
-class IdxFormatError(TscError):
-    """Base class for IDX binary parsing errors."""
+class FileFormatError(TscError):
+    """A point CSV or an IDX file does not hold what its format requires."""
 
 
-class BadMagic(IdxFormatError):
+class BadMagic(FileFormatError):
     """IDX file starts with an unexpected magic number."""
 
 
-class DimMismatch(IdxFormatError):
+class DimMismatch(FileFormatError):
     """IDX dimensions are unsupported or inconsistent across files."""
 
 
-class TruncatedFile(IdxFormatError):
+class TruncatedFile(FileFormatError):
     """IDX file ends before the header-promised payload."""
 
 

@@ -1,13 +1,12 @@
-"""Point sets, the |X^T X| kernel, CSV writing, and subspace affinities.
+"""Point sets, the float64 |X^T X| kernel, and CSV reading and writing.
 
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
-``R^m``.  Two subspaces are compared through the singular values of the
-product of their orthonormal bases, which are the cosines of the principal
-angles between them.  Whatever divides by column norms first rescales the
-columns with :func:`power_of_two_scaled`, so no norm overflows or underflows.
-The blocked |X^T X| kernel :func:`correlation_blocks` serves neighbor
-selection, whose picks carry the ``exp`` weights' correlations; every CSV
-the package writes goes through :func:`write_csv`.
+``R^m``.  Whatever divides by column norms first rescales the columns with
+:func:`power_of_two_scaled`, so no norm overflows or underflows.  The one
+float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, serves neighbor
+selection, whose picks carry the ``exp`` weights' correlations, and the
+outlier scores that the float32 screen cannot prove; every CSV the package
+writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDims, LengthMismatch, NonFinite, NonOrthonormalBasis, ZeroVector
-
-#: Max-entry deviation of U^T U from the identity beyond which a basis is rejected.
-ORTHONORMALITY_TOL = 1e-8
-
+from .errors import FileFormatError, InvalidDims, LengthMismatch, NonFinite, ZeroVector
 
 #: Points per block of the |X^T X| kernel; a block holds this many rows of N
 #: inner products, so memory stays at O(N * block) instead of O(N^2).
@@ -98,25 +93,38 @@ class PointSet:
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":
-        """Read a point set written by :meth:`to_csv`."""
+        """Read a point set written by :meth:`to_csv`.
+
+        Raises
+        ------
+        FileFormatError
+            On an empty file, a row of the wrong width, a cell that is not a
+            number or a label that is not an integer, naming path and line.
+        """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:
-                raise ValueError(f"{path}: empty CSV")
+                raise FileFormatError(f"{path}: empty CSV")
             has_labels = header[-1].strip().lower() == "label"
             m = len(header) - (1 if has_labels else 0)
             cols, labels = [], []
             for row in reader:
                 if not row:
                     continue
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-                cols.append([float(v) for v in row[:m]])
-                if has_labels:
-                    labels.append(int(float(row[m])))
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                    cols.append([float(v) for v in row[:m]])
+                    if has_labels:
+                        label = float(row[m])
+                        if not label.is_integer():
+                            raise ValueError(f"label {row[m]!r} is not an integer")
+                        labels.append(int(label))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}, line {reader.line_num}: {exc}") from None
         if not cols:
-            raise ValueError(f"{path}: no data rows")
+            raise FileFormatError(f"{path}: no data rows")
         data = np.asarray(cols, dtype=float).T
         return cls(data, np.asarray(labels, dtype=int) if has_labels else None)
 
@@ -144,25 +152,6 @@ class SubspaceBasis:
     def d(self) -> int:
         return self.basis.shape[1]
 
-    def orthonormality_defect(self) -> float:
-        """Max-entry deviation of ``U^T U`` from the identity."""
-        gram = self.basis.T @ self.basis
-        return float(np.max(np.abs(gram - np.eye(self.d))))
-
-
-@dataclass(frozen=True)
-class PrincipalAngleReport:
-    """Principal-angle cosines and the two affinity summaries of a subspace pair.
-
-    ``cosines`` are the singular values of ``Uk^T Ul`` in descending order,
-    clamped to [0, 1].  ``aff_inf`` is the largest cosine; ``aff`` is the
-    root-mean-square of the cosines, i.e. ``sqrt(sum cos^2) / sqrt(min(dk, dl))``.
-    """
-
-    cosines: np.ndarray
-    aff: float
-    aff_inf: float
-
 
 def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
     """``X`` with each nonzero column multiplied by the power of two that puts
@@ -175,34 +164,26 @@ def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
     return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
 
 
-def correlation_blocks(X: np.ndarray, normalize: bool):
-    """Yield ``(start, C)`` over blocks of ``CORRELATION_BLOCK`` points,
-    where row ``b`` of ``C`` holds ``|<x_{start+b}, x_i>|`` for every point i.
+def abs_gram_rows(X: np.ndarray, rows):
+    """Yield ``(chunk, C)`` over chunks of ``CORRELATION_BLOCK`` of ``rows``,
+    where row ``b`` of ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for every point i
+    and ``-inf`` for ``i = chunk[b]``.
 
-    With ``normalize`` these are correlations ``|<x_i/||x_i||, x_j/||x_j||>|``:
-    the columns, rescaled by :func:`power_of_two_scaled` so no norm
-    overflows or underflows, are divided by their norms once, and each
-    block of their Gram matrix is clamped to 1 (a zero column correlates 0
-    with all).  Without it the raw
-    absolute inner products pass through unclamped and can exceed 1, or
-    overflow to inf or NaN, which the caller checks for.  Its caller,
-    :func:`tsclust.tsc.select_neighbors`, makes one pass over the blocks.
+    ``rows`` is a ``range``, whose chunks are column slices of X, or an index
+    array, whose columns are gathered one chunk at a time; memory stays at
+    O(N * block) either way.  The two round alike but for a chunk that
+    slices all of X: numpy then multiplies ``X^T X`` as a symmetric product.
+    Products that overflow to inf or NaN pass through without a warning;
+    callers check for them.
     """
-    N = X.shape[1]
-    if normalize:
-        X = power_of_two_scaled(X)  # a fresh array, so divide it in place
-        norms = np.linalg.norm(X, axis=0)
-        X /= np.where(norms > 0.0, norms, 1.0)
-    # Raw products may overflow, which the caller reports; numpy need not warn.
-    quiet = {} if normalize else dict(over="ignore", invalid="ignore")
-    for start in range(0, N, CORRELATION_BLOCK):
-        stop = min(start + CORRELATION_BLOCK, N)
-        with np.errstate(**quiet):
-            C = X[:, start:stop].T @ X
+    for at in range(0, len(rows), CORRELATION_BLOCK):
+        chunk = rows[at:at + CORRELATION_BLOCK]
+        Y = X[:, chunk.start:chunk.stop] if isinstance(chunk, range) else X[:, chunk]
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = Y.T @ X
             np.abs(C, out=C)
-        if normalize:
-            np.minimum(C, 1.0, out=C)
-        yield start, C
+        C[np.arange(len(chunk)), chunk] = -np.inf
+        yield chunk, C
 
 
 def normalize_columns(points: PointSet) -> PointSet:
@@ -219,32 +200,3 @@ def normalize_columns(points: PointSet) -> PointSet:
     if zero.size:
         raise ZeroVector(int(zero[0]))
     return PointSet(data / norms, points.labels)
-
-
-def principal_angles(Uk: SubspaceBasis, Ul: SubspaceBasis) -> PrincipalAngleReport:
-    """Cosines of the principal angles between two subspaces, plus affinities.
-
-    The cosines are computed as the singular values of ``Uk^T Ul`` (numerically
-    stable and equivalent to the recursive variational definition for
-    orthonormal bases).
-
-    Raises
-    ------
-    NonOrthonormalBasis
-        If either basis deviates from orthonormality by more than 1e-8
-        (max-entry) or the ambient dimensions differ.
-    """
-    if Uk.m != Ul.m:
-        raise InvalidDims(f"ambient dimensions differ: {Uk.m} vs {Ul.m}")
-    for name, U in (("first", Uk), ("second", Ul)):
-        defect = U.orthonormality_defect()
-        if defect > ORTHONORMALITY_TOL:
-            raise NonOrthonormalBasis(
-                f"{name} basis deviates from orthonormality by {defect:.3e}"
-            )
-    product = Uk.basis.T @ Ul.basis
-    cosines = np.linalg.svd(product, compute_uv=False)
-    cosines = np.clip(cosines, 0.0, 1.0)
-    dmin = min(Uk.d, Ul.d)
-    aff = float(np.linalg.norm(cosines) / np.sqrt(dmin))
-    return PrincipalAngleReport(cosines=cosines, aff=aff, aff_inf=float(cosines[0]))

@@ -81,18 +81,6 @@ def load_idx(images_path, labels_path) -> IdxDataset:
     return IdxDataset(images=pixels.T.astype(float) / 255.0, digit_labels=labels.astype(int))
 
 
-def write_idx(ds: IdxDataset, images_path, labels_path) -> None:
-    """Serialize a dataset back to the IDX pair (pixels re-quantized to
-    bytes, so a load/write/load cycle is bit-exact)."""
-    pixels = np.round(ds.images.T * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, ds.N, IMAGE_SIDE, IMAGE_SIDE))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, ds.N))
-        fh.write(ds.digit_labels.astype(np.uint8).tobytes())
-
-
 def subsample_digits(
     ds: IdxDataset,
     digits,

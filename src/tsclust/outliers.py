@@ -7,7 +7,9 @@ the calibration of the two reference constants assumes the stated point
 models, and renormalizing would shift the threshold.  Each score is the
 float64 maximum over all other points, found by a float32 screen of the
 upper strips of |X^T X| and a float64 rescoring of the few products that
-can hold the maximum (:func:`_max_abs_inner_products`).
+can hold the maximum (:func:`_max_abs_inner_products`); points the screen
+cannot prove take their whole row from the package's one float64 |X^T X|
+kernel, :func:`~tsclust.geometry.abs_gram_rows`.
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -221,15 +223,7 @@ def _fold(best, group, second, top, top_group, rest) -> None:
 
 def _full_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The largest ``|<x_i, x_j>|`` over ``j != i`` for each point i in
-    ``rows``, from whole float64 rows in chunks of ``CORRELATION_BLOCK``;
+    ``rows``, a row maximum over :func:`~tsclust.geometry.abs_gram_rows`;
     a NaN product makes the score NaN."""
-    out = np.empty(len(rows))
-    for at in range(0, len(rows), geometry.CORRELATION_BLOCK):
-        chunk = rows[at:at + geometry.CORRELATION_BLOCK]
-        # Raw products may overflow, which the caller reports; numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = X[:, chunk].T @ X
-            np.abs(C, out=C)
-        C[np.arange(len(chunk)), chunk] = -np.inf
-        out[at:at + len(chunk)] = C.max(axis=1)
-    return out
+    maxima = [C.max(axis=1) for _, C in geometry.abs_gram_rows(X, rows)]
+    return np.concatenate([np.empty(0)] + maxima)

@@ -4,9 +4,9 @@ symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
 largest eigenvalue gap at the small end of the Laplacian spectrum, which is
 the only part computed (:data:`DEFAULT_MAX_L`).  Neighbor selection is
-the one pass over the |X^T X| kernel, :func:`~tsclust.geometry.correlation_blocks`,
-here the Gram matrix of the unit columns; the ``exp`` weights read the
-correlations it picked (:class:`Neighbors`).
+the one pass over the float64 |X^T X| kernel,
+:func:`~tsclust.geometry.abs_gram_rows`, here over the unit columns; the
+``exp`` weights read the correlations it picked (:class:`Neighbors`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
-from .geometry import PointSet, correlation_blocks, normalize_columns, write_csv
+from .geometry import PointSet, abs_gram_rows, normalize_columns, power_of_two_scaled, write_csv
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
@@ -172,11 +172,13 @@ def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighbors:
     """For each point j, the q indices i != j with largest absolute
-    correlation ``|<x_i/||x_i||, x_j/||x_j||>|`` (clamped to 1; the columns
-    are divided by their norms once), in descending order (ties go to the
+    correlation ``|<x_i/||x_i||, x_j/||x_j||>|`` (clamped to 1; the columns,
+    rescaled by :func:`~tsclust.geometry.power_of_two_scaled` so no norm
+    overflows or underflows, are divided by their norms once, and a zero
+    column correlates 0 with all), in descending order (ties go to the
     lower index), and those correlations.
 
-    This is the one pass over :func:`~tsclust.geometry.correlation_blocks`;
+    This is the one pass over :func:`~tsclust.geometry.abs_gram_rows`;
     no N x N matrix is formed.  Without ``normalize`` the raw absolute inner
     products are ranked as they are, values above 1 included.
 
@@ -192,9 +194,15 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighb
         raise ConfigError(f"q must be >= 1, got {q}")
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
+    X = points.data
+    if normalize:
+        X = power_of_two_scaled(X)  # a fresh array, so divide it in place
+        norms = np.linalg.norm(X, axis=0)
+        X /= np.where(norms > 0.0, norms, 1.0)
     picks = []
-    for start, C in correlation_blocks(points.data, normalize):
-        np.fill_diagonal(C[:, start:], -1.0)
+    for _, C in abs_gram_rows(X, range(N)):
+        if normalize:
+            np.minimum(C, 1.0, out=C)
         picks.append(_top_q(C, q))
     index, corr = (np.concatenate(part) for part in zip(*picks))
     if not np.all(np.isfinite(corr)):  # a row's NaN or inf is among its picks
@@ -322,24 +330,6 @@ def _cluster_embedding(
     E[~keep] = 0.0
     result = kmeans(E, L_hat, seed=seed, restarts=restarts, max_iter=max_iter)
     return result.labels
-
-
-def spectral_cluster(
-    L_sym,
-    L_hat: int,
-    seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Normalized spectral clustering of a Laplacian (dense or sparse) into
-    ``L_hat`` groups.
-
-    Takes the eigenvectors of the ``L_hat`` smallest eigenvalues, the only
-    ones computed (``sym_eig(L_sym, L_hat)``), as an ``N x L_hat``
-    embedding, normalizes each row to unit norm (rows with norm <= 1e-14
-    stay zero), and k-means the rows.  Returns 1-based labels.
-    """
-    return _cluster_embedding(sym_eig(L_sym, L_hat), L_hat, seed, restarts, max_iter)
 
 
 def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:

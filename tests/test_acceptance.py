@@ -43,7 +43,13 @@ from tsclust.synth import (
     sample_subspace_points,
     union_of_subspaces,
 )
-from tsclust.tsc import TscConfig, estimate_L_eigengap, normalized_laplacian, run_tsc, spectral_cluster
+from tsclust.tsc import (
+    TscConfig,
+    _cluster_embedding,
+    estimate_L_eigengap,
+    normalized_laplacian,
+    run_tsc,
+)
 
 # --- pinned tolerances -----------------------------------------------------
 ORTHO_RUNTIME_S = 5.0
@@ -216,7 +222,7 @@ def test_criterion_05_eigengap_exactness():
         L_sym = normalized_laplacian(A)
         eigenvalues = sym_eig(L_sym).eigenvalues
         L_hat, _ = estimate_L_eigengap(eigenvalues)
-        est = spectral_cluster(L_sym, L_hat, seed=case)
+        est = _cluster_embedding(sym_eig(L_sym, L_hat), L_hat, case, 10, 100)
         ce = clustering_error(labels, est)
         if L_hat != L or ce != 0.0:
             failures.append((case, L, L_hat, ce))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tsclust.geometry import PointSet
-from tsclust.ingest import write_idx
 from tsclust.metrics import clustering_error
 from tsclust.tsc import DEFAULT_MAX_L
 
@@ -79,6 +78,22 @@ class TestClusterCommand:
         proc = run_cli("cluster", bad, "--q", 5, "--L", 3, "--variant", variant)
         assert proc.returncode == 3, proc.stderr
         assert "NaN or Inf" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2\n1.0,abc\n", ", line 2: could not convert string to float: 'abc'"),
+            ("x1,x2\n1.0,2.0\n3.0\n", ", line 3: 1 fields, expected 2"),
+            ("", ": empty CSV"),
+            ("x1,label\n1.0,1\n2.0,1.5\n", ", line 3: label '1.5' is not an integer"),
+        ],
+    )
+    def test_malformed_csv_exits_1(self, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        proc = run_cli("cluster", bad, "--q", 1)
+        assert proc.returncode == 1, proc.stderr
+        assert f"{bad}{message}" in proc.stderr
 
     def test_edges_output(self, tmp_path, orthogonal_fixture):
         edges = tmp_path / "edges.csv"
@@ -295,21 +310,45 @@ class TestGenCommand:
         assert not prefix.with_suffix(".csv").exists()
 
 
+def run_mnist_sv(tmp_path, write_idx, *flags):
+    """``mnist-sv`` on 12 synthetic images of each of the digits 1 and 5."""
+    ds = synthetic_dataset(n_per_digit=12, digits=(1, 5), seed=2)
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx(ds, images, labels)
+    return run_cli("mnist-sv", "--images", images, "--labels", labels, *flags)
+
+
 class TestMnistSvCommand:
-    def test_profiles(self, tmp_path):
-        ds = synthetic_dataset(n_per_digit=12, digits=(1, 5), seed=2)
-        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx(ds, images, labels)
+    def test_profiles(self, tmp_path, write_idx):
         out = tmp_path / "sv.csv"
-        proc = run_cli(
-            "mnist-sv", "--images", images, "--labels", labels, "--digits", "1,5",
-            "--out", out,
-        )
+        proc = run_mnist_sv(tmp_path, write_idx, "--digits", "1,5", "--out", out)
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == "digit,index,singular_value"
         # 12 singular values per digit class.
         assert len(lines) == 1 + 24
+
+    def test_all_reports_the_digits_present(self, tmp_path, write_idx):
+        out = tmp_path / "sv.csv"
+        proc = run_mnist_sv(tmp_path, write_idx, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "of 2 digit classes" in proc.stdout
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"1", "5"}
+
+    @pytest.mark.parametrize("digits", ["1,11", "-1", "1,a"])
+    def test_digit_outside_0_9_exits_2(self, tmp_path, write_idx, digits):
+        out = tmp_path / "sv.csv"
+        proc = run_mnist_sv(tmp_path, write_idx, "--digits", digits, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert "--digits must be 'all' or digits 0-9" in proc.stderr
+        assert not out.exists()
+
+    def test_digit_without_images_exits_2(self, tmp_path, write_idx):
+        out = tmp_path / "sv.csv"
+        proc = run_mnist_sv(tmp_path, write_idx, "--digits", "1,7", "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert "digit 7: no images" in proc.stderr
+        assert not out.exists()
 
     def test_bad_magic_exits_1(self, tmp_path):
         images = tmp_path / "i.idx"

@@ -12,7 +12,6 @@ from tsclust.experiments import (
     trial_seed,
 )
 from tsclust.geometry import format_cell
-from tsclust.ingest import write_idx
 
 from test_ingest import synthetic_dataset
 
@@ -254,7 +253,7 @@ class TestRunExperiment:
         shared = load_spec(dict(asdict(spec), ensemble="shared", d=6, trials=1))
         assert len(run_experiment(shared).rows) == 2
 
-    def test_mnist_scenario(self, tmp_path):
+    def test_mnist_scenario(self, tmp_path, write_idx):
         ds = synthetic_dataset(n_per_digit=30, digits=(2, 4, 8), seed=11)
         images = tmp_path / "imgs.idx"
         labels = tmp_path / "labs.idx"
@@ -366,7 +365,7 @@ TINY_SPECS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(TINY_SPECS))
-def test_headers_match_readme_table(scenario, tmp_path):
+def test_headers_match_readme_table(scenario, tmp_path, write_idx):
     overrides, axes = TINY_SPECS[scenario]
     raw = dict(overrides, scenario=scenario, trials=1, seed=3)
     if scenario == "mnist":

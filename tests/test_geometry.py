@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tsclust.errors import InvalidDims, NonFinite, NonOrthonormalBasis, ZeroVector
-from tsclust.geometry import (
-    PointSet,
-    SubspaceBasis,
-    normalize_columns,
-    principal_angles,
-)
+from tsclust import geometry
+from tsclust.errors import FileFormatError, NonFinite, ZeroVector
+from tsclust.geometry import PointSet, SubspaceBasis, abs_gram_rows, normalize_columns
 from tsclust.synth import haar_basis
+
+from test_synth import cosines, rms
 
 
 class TestNormalizeColumns:
@@ -56,6 +54,31 @@ class TestNormalizeColumns:
         assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) < 1e-15
 
 
+class TestAbsGramRows:
+    def test_chunks_of_gathered_rows(self, monkeypatch):
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 4)
+        X = np.random.default_rng(5).standard_normal((5, 10))
+        rows = np.array([7, 2, 9, 0, 5, 3])
+        chunks = list(abs_gram_rows(X, rows))
+        assert [chunk.tolist() for chunk, _ in chunks] == [[7, 2, 9, 0], [5, 3]]
+        expected = np.abs(X[:, rows].T @ X)
+        expected[np.arange(6), rows] = -np.inf
+        np.testing.assert_allclose(np.vstack([C for _, C in chunks]), expected, rtol=1e-14)
+
+    def test_range_of_all_rows_multiplies_as_numpy_does(self):
+        # One chunk slicing all of X: numpy's symmetric X^T X, bit for bit.
+        X = np.random.default_rng(6).standard_normal((6, 18))
+        (chunk, C), = abs_gram_rows(X, range(18))
+        expected = np.abs(X.T @ X)
+        np.fill_diagonal(expected, -np.inf)
+        np.testing.assert_array_equal(C, expected)
+
+    def test_overflow_is_quiet(self):
+        with np.errstate(all="raise"):
+            (_, C), = abs_gram_rows(np.full((2, 3), 1e200), np.arange(3))
+        np.testing.assert_array_equal(C, np.where(np.eye(3) > 0, -np.inf, np.inf))
+
+
 class TestPointSetValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -72,50 +95,34 @@ class TestPointSetValidation:
 
 
 class TestPrincipalAngles:
+    """Principal-angle cosines of ``SubspaceBasis`` pairs cut from Haar
+    frames: the subspace affinities of the synthetic tests rest on these
+    frames being orthonormal at every shape."""
+
     def test_identical_subspaces(self):
         U = haar_basis(6, 2, 0)
-        report = principal_angles(U, U)
-        np.testing.assert_allclose(report.cosines, [1.0, 1.0], atol=1e-10)
-        assert report.aff == pytest.approx(1.0, abs=1e-10)
-        assert report.aff_inf == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(cosines(U, U), [1.0, 1.0], atol=1e-10)
 
     def test_orthogonal_spans(self):
         frame = haar_basis(8, 4, 1).basis
-        Uk = SubspaceBasis(frame[:, :2])
-        Ul = SubspaceBasis(frame[:, 2:])
-        report = principal_angles(Uk, Ul)
-        np.testing.assert_allclose(report.cosines, [0.0, 0.0], atol=1e-10)
-        assert report.aff == pytest.approx(0.0, abs=1e-10)
+        c = cosines(SubspaceBasis(frame[:, :2]), SubspaceBasis(frame[:, 2:]))
+        np.testing.assert_allclose(c, [0.0, 0.0], atol=1e-10)
 
     def test_one_shared_column(self):
         # d=2 bases sharing one column, others mutually orthogonal:
-        # cosines (1, 0), aff_inf = 1, aff = sqrt(1/2).
+        # cosines (1, 0), affinity sqrt(1/2).
         frame = haar_basis(9, 3, 2).basis
-        Uk = SubspaceBasis(frame[:, [0, 1]])
-        Ul = SubspaceBasis(frame[:, [0, 2]])
-        report = principal_angles(Uk, Ul)
-        np.testing.assert_allclose(report.cosines, [1.0, 0.0], atol=1e-10)
-        assert report.aff_inf == pytest.approx(1.0, abs=1e-10)
-        assert report.aff == pytest.approx(math.sqrt(0.5), abs=1e-10)
-
-    def test_rejects_non_orthonormal(self):
-        U = SubspaceBasis(haar_basis(5, 2, 3).basis * 1.5)
-        with pytest.raises(NonOrthonormalBasis):
-            principal_angles(U, haar_basis(5, 2, 4))
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(InvalidDims):
-            principal_angles(haar_basis(5, 2, 0), haar_basis(6, 2, 0))
+        c = cosines(SubspaceBasis(frame[:, [0, 1]]), SubspaceBasis(frame[:, [0, 2]]))
+        np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-10)
+        assert rms(c) == pytest.approx(math.sqrt(0.5), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_affinity_ordering(self, seed):
-        # 0 <= aff <= aff_inf <= 1 for arbitrary orthonormal bases.
+        # 0 <= aff <= aff_inf <= 1 for Haar bases of any dimensions.
         rng = np.random.default_rng(seed)
         dk, dl = rng.integers(1, 5, size=2)
-        Uk = haar_basis(10, int(dk), seed * 2 + 1)
-        Ul = haar_basis(10, int(dl), seed * 2 + 2)
-        report = principal_angles(Uk, Ul)
-        assert -1e-10 <= report.aff <= report.aff_inf <= 1.0 + 1e-10
+        c = cosines(haar_basis(10, int(dk), seed * 2 + 1), haar_basis(10, int(dl), seed * 2 + 2))
+        assert -1e-10 <= rms(c) <= c[0] <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_intersection_dimension(self, p):
@@ -123,20 +130,14 @@ class TestPrincipalAngles:
         # aff >= sqrt(p / min(dk, dl)).
         d = 4
         frame = haar_basis(16, 2 * d - p, 7 + p).basis
-        Uk = SubspaceBasis(frame[:, :d])
-        Ul = SubspaceBasis(frame[:, d - p:])
-        report = principal_angles(Uk, Ul)
-        assert int(np.sum(report.cosines > 1.0 - 1e-10)) == p
-        assert report.aff >= math.sqrt(p / d) - 1e-10
+        c = cosines(SubspaceBasis(frame[:, :d]), SubspaceBasis(frame[:, d - p:]))
+        assert int(np.sum(c > 1.0 - 1e-10)) == p
+        assert rms(c) >= math.sqrt(p / d) - 1e-10
 
     def test_symmetric_in_arguments(self):
         Uk = haar_basis(8, 3, 5)
         Ul = haar_basis(8, 2, 6)
-        a = principal_angles(Uk, Ul)
-        b = principal_angles(Ul, Uk)
-        np.testing.assert_allclose(a.cosines, b.cosines, atol=1e-10)
-        assert a.aff == pytest.approx(b.aff, abs=1e-10)
-        assert a.aff_inf == pytest.approx(b.aff_inf, abs=1e-10)
+        np.testing.assert_allclose(cosines(Uk, Ul), cosines(Ul, Uk), atol=1e-10)
 
 
 class TestPointSetCsv:
@@ -167,5 +168,27 @@ class TestPointSetCsv:
     def test_bad_row_width(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n1.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FileFormatError, match="line 2: 1 fields, expected 2"):
             PointSet.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV"),
+            ("x1,x2\n", "no data rows"),
+            ("x1,x2\n1.0,2.0\n\n3.0,abc\n", "line 4: could not convert string to float: 'abc'"),
+            ("x1,label\n1.0,1\n2.0,1.5\n", "line 3: label '1.5' is not an integer"),
+            ("x1,label\n1.0,nan\n", "line 2: label 'nan' is not an integer"),
+        ],
+    )
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=message) as exc:
+            PointSet.from_csv(path)
+        assert str(exc.value).startswith(str(path))
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x1,label\n1.0,2.0\n3.0,1\n")
+        np.testing.assert_array_equal(PointSet.from_csv(path).labels, [2, 1])

@@ -17,7 +17,6 @@ from tsclust.ingest import (
     remove_top_principal_components,
     singular_value_profile,
     subsample_digits,
-    write_idx,
 )
 
 
@@ -82,7 +81,7 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFile):
             load_idx(images_path, labels_path)
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, write_idx):
         rng = np.random.default_rng(0)
         pixel_rows = [list(rng.integers(0, 256, size=784)) for _ in range(5)]
         ds = load_idx(*make_idx_pair(tmp_path, pixel_rows, [0, 1, 2, 3, 4]))

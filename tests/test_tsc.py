@@ -18,7 +18,6 @@ from tsclust.tsc import (
     normalized_laplacian,
     run_tsc,
     select_neighbors,
-    spectral_cluster,
 )
 
 
@@ -75,6 +74,19 @@ class TestSelectNeighbors:
         unit = select_neighbors(normalize_columns(PointSet(X)), 4).index
         for a, b in zip(raw, unit):
             assert a.tolist() == b.tolist()
+
+    def test_zero_column_correlates_zero(self):
+        # Only nonzero columns are divided by their norms, so a zero column
+        # correlates 0 with every point, and its own ties go to the lowest index.
+        X = np.random.default_rng(8).standard_normal((5, 8))
+        X[:, 3] = 0.0
+        nb = select_neighbors(PointSet(X), 7, normalize=True)
+        assert nb.index[3].tolist() == [0, 1, 2, 4, 5, 6, 7]
+        assert nb.corr[3].tolist() == [0.0] * 7
+        others = [j for j in range(8) if j != 3]
+        assert nb.index[others, -1].tolist() == [3] * 7
+        assert nb.corr[others, -1].tolist() == [0.0] * 7
+        assert np.all(nb.corr[others, :-1] > 0.0)
 
 
 class TestComputeWeights:
@@ -209,17 +221,17 @@ class TestSpectralCluster:
     def test_exact_blocks_recovered(self):
         A, labels = three_block_adjacency(seed=4)
         L = normalized_laplacian(A)
-        est = spectral_cluster(L, 3, seed=0)
+        est = tsc._cluster_embedding(sym_eig(L, 3), 3, 0, 10, 100)
         assert clustering_error(labels, est) == 0.0
 
     def test_single_cluster(self):
         A, _ = three_block_adjacency(sizes=(6,), seed=5)
-        est = spectral_cluster(normalized_laplacian(A), 1, seed=0)
+        est = tsc._cluster_embedding(sym_eig(normalized_laplacian(A), 1), 1, 0, 10, 100)
         assert set(est.tolist()) == {1}
 
     def test_n_singletons(self):
         A, _ = three_block_adjacency(sizes=(3, 3), seed=6)
-        est = spectral_cluster(normalized_laplacian(A), 6, seed=0)
+        est = tsc._cluster_embedding(sym_eig(normalized_laplacian(A), 6), 6, 0, 10, 100)
         assert len(set(est.tolist())) == 6
 
 
@@ -235,8 +247,8 @@ class TestRunTsc:
             passes.append(args)
             yield from kernel(*args, **kwargs)
 
-        kernel = tsc.correlation_blocks
-        monkeypatch.setattr(tsc, "correlation_blocks", counted)
+        kernel = tsc.abs_gram_rows
+        monkeypatch.setattr(tsc, "abs_gram_rows", counted)
         result = run_tsc(gt.points, config)
         assert clustering_error(gt.points.labels, result.labels) == 0.0
         # The weights read the correlations the selection picked.
@@ -451,7 +463,7 @@ class TestEdgePaths:
         L = normalized_laplacian(A)
         ev = sym_eig(L).eigenvalues
         assert int(np.sum(np.abs(ev) < 1e-10)) == 3
-        labels = spectral_cluster(L, 3, seed=0)
+        labels = tsc._cluster_embedding(sym_eig(L, 3), 3, 0, 10, 100)
         assert clustering_error([1, 1, 2, 2, 3], labels) == 0.0
 
     def test_no_normalize_on_unit_points_equivalent(self):

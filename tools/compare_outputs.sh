@@ -3,10 +3,12 @@
 #
 # Usage: tools/compare_outputs.sh OLD_SRC NEW_SRC [WORK_DIR]
 #
-# Runs one fixed set of `gen`, `cluster`, `outliers` and `experiment`
-# commands with the `tsclust` package found in each `src/` tree, writing to
-# WORK_DIR/old and WORK_DIR/new (default: a fresh temporary directory), and
-# compares the two with `diff -r`.  Experiment manifests are compared with
+# Runs one fixed set of `gen`, `cluster`, `outliers`, `mnist-sv` and
+# `experiment` commands with the `tsclust` package found in each `src/` tree,
+# writing to WORK_DIR/old and WORK_DIR/new (default: a fresh temporary
+# directory), and compares the two with `diff -r`.  The IDX commands read a
+# small synthetic image/label pair that this script writes to WORK_DIR/idx
+# with its own code, not the package's.  Experiment manifests are compared with
 # their wall-clock `trial_seconds` removed.  When outputs differ, a summary
 # follows the diff: for each differing `*.result.json` whether `labels` and
 # `L_hat` are equal, for each differing CSV the largest absolute and relative
@@ -29,6 +31,24 @@ work=$(cd "$work" && pwd)
 # One BLAS thread, as in the benchmark, so both trees see the same sums.
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 unset TSC_SEED
+
+# 30 low-rank 28 x 28 images of each of the digits 2, 4 and 8, shuffled.
+mkdir -p "$work/idx"
+python3 - "$work/idx" <<'PY'
+import struct, sys
+import numpy as np
+
+rng = np.random.default_rng(5)
+digits = (2, 4, 8)
+blocks = [rng.uniform(0, 1, (784, 4)) @ rng.uniform(0, 1, (4, 30)) for _ in digits]
+pixels = np.hstack([np.round(b / b.max() * 255) for b in blocks]).T.astype(np.uint8)
+labels = np.repeat(np.array(digits, np.uint8), 30)
+order = rng.permutation(labels.size)
+with open(f"{sys.argv[1]}/images.idx", "wb") as fh:
+    fh.write(struct.pack(">IIII", 0x803, labels.size, 28, 28) + pixels[order].tobytes())
+with open(f"{sys.argv[1]}/labels.idx", "wb") as fh:
+    fh.write(struct.pack(">II", 0x801, labels.size) + labels[order].tobytes())
+PY
 
 run_all() {
   local src=$1 out=$2
@@ -71,6 +91,10 @@ run_all() {
   # 1200 points: five strips of the outlier screen and many groups.
   tsc outliers multi.csv --out multi.outliers.csv
 
+  local idx=(--images ../idx/images.idx --labels ../idx/labels.idx)
+  tsc mnist-sv "${idx[@]}" --out mnist-sv.csv
+  tsc mnist-sv "${idx[@]}" --digits 2,8 --center --remove-top-k 1 --out mnist-sv-centered.csv
+
   local spec name
   for spec in \
     'grid-exp {"scenario": "grid", "trials": 2, "seed": 1}' \
@@ -79,7 +103,8 @@ run_all() {
     'noise-grid {"scenario": "noise-grid", "trials": 2, "seed": 3}' \
     'huge-noise {"scenario": "huge-noise", "trials": 2, "seed": 4}' \
     'outliers {"scenario": "outliers", "trials": 2, "seed": 5}' \
-    'outliers-noisy {"scenario": "outliers", "trials": 2, "seed": 6, "sigma2": 0.1}'; do
+    'outliers-noisy {"scenario": "outliers", "trials": 2, "seed": 6, "sigma2": 0.1}' \
+    'mnist {"scenario": "mnist", "images": "../idx/images.idx", "labels": "../idx/labels.idx", "n_values": [10, 20], "trials": 2, "seed": 7}'; do
     name=${spec%% *}
     echo "${spec#* }" > "$name.spec.json"
     tsc experiment "$name.spec.json" --out "$name.csv" --per-trial "$name.trials.csv"
