@@ -197,6 +197,13 @@ def _filled(spec: ExperimentSpec, cell: dict) -> ExperimentSpec:
     return replace(spec, **{k: v for k, v in cell.items() if k in _FIELD_NAMES})
 
 
+def _cell_q(spec: ExperimentSpec, groups: int) -> int:
+    q = spec.q if spec.q is not None else default_q(spec.n, spec.L_known)
+    if q >= groups * spec.n:
+        raise ConfigError(f"q={q} exceeds N-1={groups * spec.n - 1} at n={spec.n}")
+    return q
+
+
 def _check_intersect(spec: ExperimentSpec, cell: dict) -> None:
     if spec.d > spec.m:
         raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
@@ -205,6 +212,7 @@ def _check_intersect(spec: ExperimentSpec, cell: dict) -> None:
         raise ConfigError(f"t values must lie in [0, d], got {t}")
     if 2 * spec.d - t > spec.m:
         raise ConfigError(f"need 2d - t <= m, got t={t}")
+    _cell_q(spec, 2)
 
 
 def _check_grid(spec: ExperimentSpec, cell: dict) -> None:
@@ -216,6 +224,7 @@ def _check_grid(spec: ExperimentSpec, cell: dict) -> None:
         raise ConfigError(f"shared ensemble needs d divisible by 3, got {spec.d}")
     if not 0 <= spec.s < spec.m:
         raise ConfigError(f"need 0 <= s < m, got s={spec.s}")
+    _cell_q(spec, spec.L)
 
 
 def _check_outliers(spec: ExperimentSpec, cell: dict) -> None:
@@ -231,12 +240,13 @@ def _check_mnist(spec: ExperimentSpec, cell: dict) -> None:
         raise ConfigError("mnist scenario needs 'images' and 'labels' paths")
     if len(spec.digits) < 2:
         raise ConfigError("mnist scenario needs at least two digits")
+    _cell_q(spec, len(set(spec.digits)))
 
 
 def _cluster_record(spec: ExperimentSpec, points: PointSet, L_true: int, seed: int) -> dict:
     """Cluster ``points`` as the spec says and score against their labels."""
     config = TscConfig(
-        q=spec.q if spec.q is not None else default_q(spec.n, spec.L_known),
+        q=_cell_q(spec, L_true),
         weight_variant=spec.variant,
         num_subspaces=L_true if spec.L_known else None,
         max_L=spec.max_L,

@@ -1,12 +1,11 @@
 """Point sets, the float64 |X^T X| kernel, and CSV reading and writing.
 
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
-``R^m``.  Whatever divides by column norms first rescales the columns with
-:func:`power_of_two_scaled`, so no norm overflows or underflows.  The one
-float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, serves neighbor
-selection, whose picks carry the ``exp`` weights' correlations, and the
-outlier scores that the float32 screen cannot prove; every CSV the package
-writes goes through :func:`write_csv`.
+``R^m``.  :func:`normalize_columns` is the one place that normalizes points.
+The one float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, serves
+neighbor selection, whose picks carry the ``exp`` weights' correlations, and
+the outlier scores that the float32 screen cannot prove; every CSV the
+package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ class PointSet:
         Raises
         ------
         FileFormatError
-            On an empty file, a row of the wrong width, a cell that is not a
-            number or a label that is not an integer, naming path and line.
+            On an empty file, a label-only header, a row of the wrong width, a
+            non-number cell or a negative or fractional label; names the line.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -108,6 +107,8 @@ class PointSet:
                 raise FileFormatError(f"{path}: empty CSV")
             has_labels = header[-1].strip().lower() == "label"
             m = len(header) - (1 if has_labels else 0)
+            if m == 0:
+                raise FileFormatError(f"{path}: no coordinate column")
             cols, labels = [], []
             for row in reader:
                 if not row:
@@ -120,6 +121,8 @@ class PointSet:
                         label = float(row[m])
                         if not label.is_integer():
                             raise ValueError(f"label {row[m]!r} is not an integer")
+                        if label < 0:
+                            raise ValueError(f"label {row[m]!r} is negative")
                         labels.append(int(label))
                 except ValueError as exc:
                     raise FileFormatError(f"{path}, line {reader.line_num}: {exc}") from None
@@ -153,17 +156,6 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def power_of_two_scaled(X: np.ndarray) -> np.ndarray:
-    """``X`` with each nonzero column multiplied by the power of two that puts
-    its largest absolute entry in [0.5, 1); zero columns stay zero.
-
-    The scaling is exact (short of entries some 2^1022 times smaller than
-    their column's largest), so unit columns and correlations keep their bits.
-    """
-    X = np.asarray(X, dtype=float)
-    return np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
-
-
 def abs_gram_rows(X: np.ndarray, rows):
     """Yield ``(chunk, C)`` over chunks of ``CORRELATION_BLOCK`` of ``rows``,
     where row ``b`` of ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for every point i
@@ -194,9 +186,11 @@ def normalize_columns(points: PointSet) -> PointSet:
     ZeroVector
         If any column is exactly zero.
     """
-    data = power_of_two_scaled(points.data)
+    # Each column times the power of two that puts its largest entry in
+    # [0.5, 1) (exactly), so no norm overflows or underflows.
+    data = np.ldexp(points.data, -np.frexp(np.abs(points.data).max(axis=0))[1])
     norms = np.linalg.norm(data, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]))
-    return PointSet(data / norms, points.labels)
+    return PointSet(np.divide(data, norms, out=data), points.labels)

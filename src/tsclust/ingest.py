@@ -3,7 +3,7 @@
 The IDX layout: images carry a big-endian header ``magic=0x00000803,
 count, rows, cols`` followed by unsigned-byte pixels in row-major order;
 labels carry ``magic=0x00000801, count`` followed by unsigned bytes.
-Only 28 x 28 images are accepted; pixels are scaled to [0, 1].
+Only 28 x 28 images are accepted; pixels are scaled to [0, 1], not normalized.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     NonFinite,
     TruncatedFile,
 )
-from .geometry import PointSet, normalize_columns
+from .geometry import PointSet
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -90,9 +90,9 @@ def subsample_digits(
 ) -> PointSet:
     """Uniform without-replacement sample of ``n_per_digit`` images per digit.
 
-    Labels are re-indexed 1..len(digits) in ascending digit order and the
-    columns are unit-normalized.  ``center`` subtracts the mean image of the
-    selection before normalizing (off by default).
+    Labels are re-indexed 1..len(digits) in ascending digit order.  The
+    columns are the sampled images; ``center`` subtracts the mean image of
+    the selection from them (off by default).
 
     Raises
     ------
@@ -116,7 +116,7 @@ def subsample_digits(
     data = np.hstack(chosen)
     if center:
         data = data - data.mean(axis=1, keepdims=True)
-    return normalize_columns(PointSet(data, np.asarray(labels, dtype=int)))
+    return PointSet(data, np.asarray(labels, dtype=int))
 
 
 def singular_value_profile(matrix) -> np.ndarray:

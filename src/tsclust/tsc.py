@@ -3,10 +3,11 @@ spherical pseudo-distance, turn the retained correlations into edge weights,
 symmetrize into an adjacency matrix, and cluster the normalized-Laplacian
 embedding.  The number of clusters is either supplied or estimated from the
 largest eigenvalue gap at the small end of the Laplacian spectrum, which is
-the only part computed (:data:`DEFAULT_MAX_L`).  Neighbor selection is
-the one pass over the float64 |X^T X| kernel,
-:func:`~tsclust.geometry.abs_gram_rows`, here over the unit columns; the
-``exp`` weights read the correlations it picked (:class:`Neighbors`).
+the only part computed (:data:`DEFAULT_MAX_L`).  The points are normalized
+once (:func:`~tsclust.geometry.normalize_columns`); neighbor selection is the
+one pass over the float64 |X^T X| kernel,
+:func:`~tsclust.geometry.abs_gram_rows`, and the ``exp`` weights read the
+correlations it picked (:class:`Neighbors`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
-from .geometry import PointSet, abs_gram_rows, normalize_columns, power_of_two_scaled, write_csv
+from .geometry import PointSet, abs_gram_rows, normalize_columns, write_csv
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
@@ -80,7 +81,7 @@ class TscConfig:
 class Neighbors:
     """Row j of the (N, q) ``index`` holds the neighbors of point j in
     descending ``|corr|`` order, ties by index; row j of ``corr`` holds their
-    correlations (raw inner products if selected without normalization)."""
+    absolute inner products (of unit columns: rounding can give 1 + ulp)."""
 
     index: np.ndarray
     corr: np.ndarray
@@ -172,20 +173,21 @@ def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighbors:
     """For each point j, the q indices i != j with largest absolute
-    correlation ``|<x_i/||x_i||, x_j/||x_j||>|`` (clamped to 1; the columns,
-    rescaled by :func:`~tsclust.geometry.power_of_two_scaled` so no norm
-    overflows or underflows, are divided by their norms once, and a zero
-    column correlates 0 with all), in descending order (ties go to the
-    lower index), and those correlations.
+    correlation ``|<x_i/||x_i||, x_j/||x_j||>|``, in descending order (ties
+    go to the lower index), and those correlations.
 
-    This is the one pass over :func:`~tsclust.geometry.abs_gram_rows`;
-    no N x N matrix is formed.  Without ``normalize`` the raw absolute inner
-    products are ranked as they are, values above 1 included.
+    With ``normalize`` the products of
+    :func:`~tsclust.geometry.normalize_columns` are ranked as they are, not
+    clamped to 1; without it the raw absolute inner products are, values
+    above 1 included.  This is the one pass over
+    :func:`~tsclust.geometry.abs_gram_rows`; no N x N matrix is formed.
 
     Raises
     ------
     QTooLarge
         If ``q > N - 1``.
+    ZeroVector
+        If a column is zero (with ``normalize``).
     NonFinite
         If raw inner products (without ``normalize``) overflow.
     """
@@ -194,16 +196,8 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighb
         raise ConfigError(f"q must be >= 1, got {q}")
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
-    X = points.data
-    if normalize:
-        X = power_of_two_scaled(X)  # a fresh array, so divide it in place
-        norms = np.linalg.norm(X, axis=0)
-        X /= np.where(norms > 0.0, norms, 1.0)
-    picks = []
-    for _, C in abs_gram_rows(X, range(N)):
-        if normalize:
-            np.minimum(C, 1.0, out=C)
-        picks.append(_top_q(C, q))
+    X = (normalize_columns(points) if normalize else points).data
+    picks = [_top_q(C, q) for _, C in abs_gram_rows(X, range(N))]
     index, corr = (np.concatenate(part) for part in zip(*picks))
     if not np.all(np.isfinite(corr)):  # a row's NaN or inf is among its picks
         raise NonFinite("raw inner products overflow to NaN or Inf; normalize the points")
@@ -219,8 +213,8 @@ def compute_weights(
     """Column-j weights on the neighbor set of point j, as an N x N CSR array.
 
     ``"exp"``: ``exp(-2 arccos min(|corr|, 1))`` over the correlations that
-    came with the neighbors (raw inner products can exceed 1), so
-    ``normalize`` has no effect.  ``"ls"``: absolute values of the
+    came with the neighbors (raw inner products can exceed 1, unit ones by
+    an ulp), so ``normalize`` has no effect.  ``"ls"``: absolute values of the
     minimum-norm least-squares coefficients expressing ``x_j`` in the columns
     indexed by its neighbor set (raw columns as provided; pass pre-normalized
     points for correlation-equivalent behavior).
@@ -338,7 +332,8 @@ def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
     Composes neighbor selection, weight construction, adjacency assembly,
     the normalized Laplacian, one solve for the window of its
     ``min(N, max(max_L + 1, L))`` smallest eigenvalues, cluster-count
-    estimation (when not given), and spectral clustering.
+    estimation (when not given), and spectral clustering, all reading the
+    points normalized once (with ``correlation_normalize``).
 
     Raises
     ------
@@ -353,7 +348,7 @@ def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
         raise ConfigError(f"num_subspaces={L} exceeds the number of points N={N}")
     max_L = DEFAULT_MAX_L if config.max_L is None else config.max_L
     pts = normalize_columns(points) if config.correlation_normalize else points
-    neighbors = select_neighbors(pts, config.q, normalize=config.correlation_normalize)
+    neighbors = select_neighbors(pts, config.q, normalize=False)
     Z = compute_weights(pts, neighbors, config.weight_variant)
     graph = assemble_adjacency(Z, neighbors)
     L_sym = normalized_laplacian(graph.A)

@@ -86,6 +86,8 @@ class TestClusterCommand:
             ("x1,x2\n1.0,2.0\n3.0\n", ", line 3: 1 fields, expected 2"),
             ("", ": empty CSV"),
             ("x1,label\n1.0,1\n2.0,1.5\n", ", line 3: label '1.5' is not an integer"),
+            ("x1,label\n2.0,1\n1.0,-1\n", ", line 3: label '-1' is negative"),
+            ("label\n1\n2\n", ": no coordinate column"),
         ],
     )
     def test_malformed_csv_exits_1(self, tmp_path, text, message):
@@ -107,6 +109,20 @@ class TestClusterCommand:
 
 
 class TestOutliersCommand:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,label\n2.0,1\n1.0,-1\n", ", line 3: label '-1' is negative"),
+            ("label\n1\n2\n", ": no coordinate column"),
+        ],
+    )
+    def test_malformed_csv_exits_1(self, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        proc = run_cli("outliers", bad, "--out", tmp_path / "flags.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert f"{bad}{message}" in proc.stderr
+
     def test_named_constant_equals_literal(self, tmp_path, orthogonal_fixture):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -58,6 +58,22 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec({"scenario": "mnist"})
 
+    def test_q_at_least_cell_point_count_rejected(self):
+        # The n=5 cell of L=10 has 50 points; every clustering scenario counts
+        # its own: 2n for intersect, L*n for grid, (digits)*n for mnist.
+        with pytest.raises(ConfigError, match="q=60 exceeds N-1=49"):
+            load_spec({"scenario": "grid", "q": 60, "trials": 2, "d_values": [5],
+                       "n_values": [50, 5]})
+        assert load_spec({"scenario": "grid", "q": 49, "d_values": [5], "n_values": [5]}).q == 49
+        with pytest.raises(ConfigError, match="q=20 exceeds N-1=19"):
+            load_spec({"scenario": "intersect", "q": 20, "n": 10, "t_values": [0]})
+        with pytest.raises(ConfigError, match="q=6 exceeds N-1=5"):
+            load_spec({"scenario": "intersect", "n": 3, "t_values": [0]})  # default q
+        with pytest.raises(ConfigError, match="q=8 exceeds N-1=5"):
+            load_spec({"scenario": "mnist", "images": "i", "labels": "l", "digits": [2, 8, 8],
+                       "q": 8, "n_values": [3]})
+        assert load_spec({"scenario": "outliers", "q": 10**6}).q == 10**6
+
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
             small_intersect_spec(trials=0)

@@ -179,6 +179,8 @@ class TestPointSetCsv:
             ("x1,x2\n1.0,2.0\n\n3.0,abc\n", "line 4: could not convert string to float: 'abc'"),
             ("x1,label\n1.0,1\n2.0,1.5\n", "line 3: label '1.5' is not an integer"),
             ("x1,label\n1.0,nan\n", "line 2: label 'nan' is not an integer"),
+            ("x1,label\n2.0,1\n1.0,-1\n", "line 3: label '-1' is negative"),
+            ("label\n1\n2\n", "no coordinate column"),
         ],
     )
     def test_malformed_file_names_path_and_line(self, tmp_path, text, message):

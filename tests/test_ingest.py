@@ -114,7 +114,14 @@ class TestSubsampleDigits:
         ps = subsample_digits(ds, {2, 4, 8}, 10, seed=1)
         assert ps.N == 30
         np.testing.assert_array_equal(np.unique(ps.labels), [1, 2, 3])
-        assert np.max(np.abs(np.linalg.norm(ps.data, axis=0) - 1.0)) < 1e-12
+        # The sampled images as they are, not normalized: each column is an
+        # image of its digit, and centering subtracts the mean image.
+        for k, digit in enumerate((2, 4, 8), start=1):
+            pool = ds.images[:, ds.digit_labels == digit]
+            for column in ps.data[:, ps.labels == k].T:
+                assert np.any(np.all(pool == column[:, None], axis=0))
+        centered = subsample_digits(ds, {2, 4, 8}, 10, seed=1, center=True)
+        np.testing.assert_array_equal(centered.data, ps.data - ps.data.mean(axis=1, keepdims=True))
 
     def test_deterministic(self):
         ds = synthetic_dataset()

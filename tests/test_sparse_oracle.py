@@ -40,16 +40,14 @@ CLUSTER_TOL = 1e-8
 
 def dense_abs_correlations(X, normalize=True):
     """The N x N |X^T X|, row j for point j; with ``normalize``, the Gram
-    matrix of the columns divided by their norms (zero columns stay zero),
-    clamped to 1.  Rows are multiplied in blocks of ``CORRELATION_BLOCK``
-    points as the kernel multiplies them: BLAS rounds the last bit of a
-    product by where it falls in the block's tiles."""
+    matrix of the :func:`normalize_columns` columns, not clamped.  Rows are
+    multiplied in blocks of ``CORRELATION_BLOCK`` points as the kernel
+    multiplies them: BLAS rounds the last bit of a product by where it falls
+    in the block's tiles."""
     if normalize:
-        norms = np.linalg.norm(X, axis=0)
-        X = X / np.where(norms > 0.0, norms, 1.0)
+        X = normalize_columns(PointSet(X)).data
     block = geometry.CORRELATION_BLOCK
-    C = np.abs(np.vstack([X[:, s:s + block].T @ X for s in range(0, X.shape[1], block)]))
-    return np.minimum(C, 1.0) if normalize else C
+    return np.abs(np.vstack([X[:, s:s + block].T @ X for s in range(0, X.shape[1], block)]))
 
 
 def dense_neighbors(X, q, normalize=True):
@@ -60,15 +58,16 @@ def dense_neighbors(X, q, normalize=True):
 
 
 def dense_laplacian(points, config):
-    """The dense pipeline's Laplacian."""
+    """The dense pipeline's Laplacian: the points normalized once, their
+    products ranked as they are and clamped to 1 only for the weights."""
     X = normalize_columns(points).data
     N = X.shape[1]
-    neighbors = dense_neighbors(X, config.q)
+    neighbors = dense_neighbors(X, config.q, normalize=False)
     Z = np.zeros((N, N))
     if config.weight_variant == "exp":
-        C = dense_abs_correlations(X)
+        C = dense_abs_correlations(X, normalize=False)
         for j, idx in enumerate(neighbors):
-            Z[idx, j] = np.exp(-2.0 * np.arccos(C[j, idx]))
+            Z[idx, j] = np.exp(-2.0 * np.arccos(np.minimum(C[j, idx], 1.0)))
     else:
         for j, idx in enumerate(neighbors):
             Z[idx, j] = np.abs(least_squares(X[:, idx], X[:, j]))
@@ -752,19 +751,20 @@ class TestNeighborTiesAcrossBlocks:
     @given(data=st.data(), block=st.sampled_from([1, 7, 256]), normalize=st.booleans())
     def test_property_matches_dense_top_q(self, data, block, normalize):
         """Small integer directions, each repeated, so rows tie at the q-th
-        value inside and outside the pick; with ``normalize`` each column is
-        scaled by 2^k or 10^k, without it the raw products exceed 1."""
+        value inside and outside the pick; with ``normalize`` the directions
+        are nonzero and each column is scaled by 2^k or 10^k, without it the
+        raw products exceed 1."""
         m = data.draw(st.integers(2, 5), label="m")
-        directions = data.draw(st.lists(
-            st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=2, max_size=8))
+        direction = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+        if normalize:
+            direction = direction.filter(any)
+        directions = data.draw(st.lists(direction, min_size=2, max_size=8))
         reps = data.draw(st.lists(st.integers(1, 4), min_size=len(directions),
                                   max_size=len(directions)))
         X = np.repeat(np.array(directions, dtype=float).T, reps, axis=1)
         N = X.shape[1]
         X = X[:, data.draw(st.permutations(range(N)), label="perm")]
         if normalize:
-            # Squared norms stay normal numbers, so the dense oracle needs no
-            # rescale of its own.
             scales = data.draw(st.lists(st.one_of(
                 st.integers(-500, 500).map(lambda k: 2.0**k),
                 st.integers(-150, 150).map(lambda k: 10.0**k),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsclust import tsc
-from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
+from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints, ZeroVector
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
 from tsclust.numerics import sym_eig
@@ -75,18 +75,18 @@ class TestSelectNeighbors:
         for a, b in zip(raw, unit):
             assert a.tolist() == b.tolist()
 
-    def test_zero_column_correlates_zero(self):
-        # Only nonzero columns are divided by their norms, so a zero column
-        # correlates 0 with every point, and its own ties go to the lowest index.
+    def test_zero_column_raises_zero_vector(self):
+        # A zero column has no direction: selection with normalization names
+        # it, as run_tsc does; without normalization it correlates 0 with all.
         X = np.random.default_rng(8).standard_normal((5, 8))
         X[:, 3] = 0.0
-        nb = select_neighbors(PointSet(X), 7, normalize=True)
-        assert nb.index[3].tolist() == [0, 1, 2, 4, 5, 6, 7]
+        with pytest.raises(ZeroVector) as exc:
+            select_neighbors(PointSet(X), 7, normalize=True)
+        assert exc.value.column == 3
+        with pytest.raises(ZeroVector):
+            run_tsc(PointSet(X), TscConfig(q=3))
+        nb = select_neighbors(PointSet(X), 7, normalize=False)
         assert nb.corr[3].tolist() == [0.0] * 7
-        others = [j for j in range(8) if j != 3]
-        assert nb.index[others, -1].tolist() == [3] * 7
-        assert nb.corr[others, -1].tolist() == [0.0] * 7
-        assert np.all(nb.corr[others, :-1] > 0.0)
 
 
 class TestComputeWeights:
@@ -253,6 +253,34 @@ class TestRunTsc:
         assert clustering_error(gt.points.labels, result.labels) == 0.0
         # The weights read the correlations the selection picked.
         assert len(passes) == 1
+
+    @pytest.mark.parametrize("variant", ["exp", "ls"])
+    def test_points_normalized_once_and_read_by_kernel(self, monkeypatch, variant):
+        gt = union_of_subspaces(orthogonal_ensemble(30, 3, 5, seed=10), 50, seed=11)
+        made, read, weighed = [], [], []
+
+        def normalize(points):
+            out = normalize_columns(points)
+            made.append(out.data)
+            return out
+
+        def gram_rows(X, rows):
+            read.append(X)
+            yield from kernel(X, rows)
+
+        def weights(points, *args, **kwargs):
+            weighed.append(points.data)
+            return compute(points, *args, **kwargs)
+
+        kernel, compute = tsc.abs_gram_rows, tsc.compute_weights
+        monkeypatch.setattr(tsc, "normalize_columns", normalize)
+        monkeypatch.setattr(tsc, "abs_gram_rows", gram_rows)
+        monkeypatch.setattr(tsc, "compute_weights", weights)
+        run_tsc(gt.points, TscConfig(q=5, weight_variant=variant, num_subspaces=3))
+        assert len(made) == 1
+        # The kernel and the weights read the very unit columns made once.
+        assert len(read) == 1 and read[0] is made[0]
+        assert len(weighed) == 1 and weighed[0] is made[0]
 
     def test_single_subspace_known_one(self):
         bases = orthogonal_ensemble(10, 1, 3, seed=1)

@@ -12,8 +12,9 @@
 # their wall-clock `trial_seconds` removed.  When outputs differ, a summary
 # follows the diff: for each differing `*.result.json` whether `labels` and
 # `L_hat` are equal, for each differing CSV the largest absolute and relative
-# difference between its numeric cells, and for each differing
-# `*.outliers.csv` whether its `is_outlier` column is equal.  Exits 0 when
+# difference between its numeric cells, for each differing `*.trials.csv` how
+# many trials changed `ce`, `el` or `outlier_err` by more than 1e-12, and for
+# each differing `*.outliers.csv` whether its `is_outlier` column is equal.  Exits 0 when
 # every output is byte-identical, 1 when some differ.  Takes a few minutes on
 # one core.
 set -euo pipefail
@@ -141,6 +142,14 @@ def cells(path):
         return list(csv.reader(fh))
 
 
+def moved(x, y):
+    """Whether two cells differ by more than 1e-12 (an empty one by any)."""
+    try:
+        return not abs(float(x) - float(y)) <= 1e-12
+    except ValueError:
+        return x != y
+
+
 for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
     name = new.relative_to(new_dir)
     old = old_dir / name
@@ -170,6 +179,10 @@ for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
             if scale > 0.0 and not change / scale <= relative:
                 relative = change / scale
         note = f", {text} non-numeric cells differ" if text else ""
+        if new.name.endswith(".trials.csv"):
+            columns = [a[0].index(key) for key in ("ce", "el", "outlier_err")]
+            trials = sum(any(moved(x[c], y[c]) for c in columns) for x, y in zip(a[1:], b[1:]))
+            note += f", {trials} of {len(a) - 1} trials moved ce, el or outlier_err by > 1e-12"
         if new.name.endswith(".outliers.csv"):
             column = a[0].index("is_outlier")
             same = [row[column] for row in a] == [row[column] for row in b]
