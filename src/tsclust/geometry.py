@@ -2,15 +2,19 @@
 
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
 ``R^m``.  :func:`normalize_columns` is the one place that normalizes points.
-The one float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, serves
-neighbor selection, whose picks carry the ``exp`` weights' correlations, and
-the outlier scores that the float32 screen cannot prove; every CSV the
-package writes goes through :func:`write_csv`.
+The one float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, runs its
+blocks on one thread per usable CPU, with the same bits on any count; it
+serves neighbor selection, whose picks carry the ``exp`` weights'
+correlations, and the outlier scores that the float32 screen cannot prove.
+Every CSV the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,26 +160,75 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def abs_gram_rows(X: np.ndarray, rows):
-    """Yield ``(chunk, C)`` over chunks of ``CORRELATION_BLOCK`` of ``rows``,
-    where row ``b`` of ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for every point i
-    and ``-inf`` for ``i = chunk[b]``.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
+    """``[reduce(chunk, C) for each chunk]`` over chunks of
+    ``CORRELATION_BLOCK`` of ``rows``, in chunk order, where row ``b`` of
+    ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for every point i and ``-inf`` for
+    ``i = chunk[b]``.
 
     ``rows`` is a ``range``, whose chunks are column slices of X, or an index
-    array, whose columns are gathered one chunk at a time; memory stays at
-    O(N * block) either way.  The two round alike but for a chunk that
-    slices all of X: numpy then multiplies ``X^T X`` as a symmetric product.
-    Products that overflow to inf or NaN pass through without a warning;
-    callers check for them.
+    array, whose columns are gathered one chunk at a time.  The two round
+    alike but for a chunk that slices all of X: numpy then multiplies
+    ``X^T X`` as a symmetric product.  Products that overflow to inf or NaN
+    pass through without a warning; callers check for them.
+
+    The chunks run on one thread per usable CPU, at most one per chunk, the
+    calling thread among them; each claims the next unclaimed chunk when
+    done with one, so a thread slowed by other load takes fewer.  Each
+    thread multiplies every chunk it claims, whole, into its own
+    ``CORRELATION_BLOCK x N`` block, so memory stays at O(N * block) per
+    thread and every product has the bits ``Y^T @ X`` gives, on any thread
+    count.  ``C`` is that block: ``reduce`` may overwrite it and must copy
+    what it keeps; it runs under the kernel's numpy error state.  An
+    exception in ``reduce`` stops the other threads at their next claim and
+    reaches the caller.  No thread outlives the call, and empty ``rows``
+    starts none.
     """
-    for at in range(0, len(rows), CORRELATION_BLOCK):
-        chunk = rows[at:at + CORRELATION_BLOCK]
-        Y = X[:, chunk.start:chunk.stop] if isinstance(chunk, range) else X[:, chunk]
+    chunks = [rows[at:at + CORRELATION_BLOCK] for at in range(0, len(rows), CORRELATION_BLOCK)]
+    if not chunks:
+        return []
+    # Made on this thread: blocks made on the helpers stay resident in
+    # glibc's per-thread arenas after the call.
+    workers = min(_usable_cpus(), len(chunks))
+    blocks = [np.empty((len(chunks[0]), X.shape[1])) for _ in range(workers)]
+    out = [None] * len(chunks)
+    lock = threading.Lock()
+    claimed = 0
+
+    def work(block):
+        nonlocal claimed
         with np.errstate(over="ignore", invalid="ignore"):
-            C = Y.T @ X
-            np.abs(C, out=C)
-        C[np.arange(len(chunk)), chunk] = -np.inf
-        yield chunk, C
+            try:
+                while True:
+                    with lock:
+                        i, claimed = claimed, claimed + 1
+                    if i >= len(chunks):
+                        return
+                    chunk = chunks[i]
+                    Y = X[:, chunk.start:chunk.stop] if isinstance(chunk, range) else X[:, chunk]
+                    C = np.matmul(Y.T, X, out=block[:len(chunk)])
+                    np.abs(C, out=C)
+                    C[np.arange(len(chunk)), chunk] = -np.inf
+                    out[i] = reduce(chunk, C)
+            except BaseException:
+                with lock:
+                    claimed = len(chunks)  # the other threads claim no more
+                raise
+
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(work, block) for block in blocks[1:]]
+        work(blocks[0])
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 def normalize_columns(points: PointSet) -> PointSet:

@@ -9,7 +9,8 @@ float64 maximum over all other points, found by a float32 screen of the
 upper strips of |X^T X| and a float64 rescoring of the few products that
 can hold the maximum (:func:`_max_abs_inner_products`); points the screen
 cannot prove take their whole row from the package's one float64 |X^T X|
-kernel, :func:`~tsclust.geometry.abs_gram_rows`.
+kernel, :func:`~tsclust.geometry.abs_gram_rows`, on every usable CPU; the
+screen itself runs on the calling thread.
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -223,7 +224,9 @@ def _fold(best, group, second, top, top_group, rest) -> None:
 
 def _full_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The largest ``|<x_i, x_j>|`` over ``j != i`` for each point i in
-    ``rows``, a row maximum over :func:`~tsclust.geometry.abs_gram_rows`;
-    a NaN product makes the score NaN."""
-    maxima = [C.max(axis=1) for _, C in geometry.abs_gram_rows(X, rows)]
+    ``rows``, a row maximum over :func:`~tsclust.geometry.abs_gram_rows`
+    taken on the thread that made each block (the same bits on any thread
+    count); a NaN product makes the score NaN.  No ``rows`` gives an empty
+    array and starts no thread."""
+    maxima = geometry.abs_gram_rows(X, rows, lambda _, C: C.max(axis=1))
     return np.concatenate([np.empty(0)] + maxima)

@@ -6,8 +6,8 @@ largest eigenvalue gap at the small end of the Laplacian spectrum, which is
 the only part computed (:data:`DEFAULT_MAX_L`).  The points are normalized
 once (:func:`~tsclust.geometry.normalize_columns`); neighbor selection is the
 one pass over the float64 |X^T X| kernel,
-:func:`~tsclust.geometry.abs_gram_rows`, and the ``exp`` weights read the
-correlations it picked (:class:`Neighbors`).
+:func:`~tsclust.geometry.abs_gram_rows`, which runs on every usable CPU, and
+the ``exp`` weights read the correlations it picked (:class:`Neighbors`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
-from .geometry import PointSet, abs_gram_rows, normalize_columns, write_csv
+from .geometry import CORRELATION_BLOCK, PointSet, abs_gram_rows, normalize_columns, write_csv
 from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
@@ -152,8 +152,14 @@ def _top_q(C: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``C``, the q column indices of largest value in descending
     order (ties to the lower index, NaN above all) and those values.
 
-    ``C`` is scratch: its picked entries are overwritten."""
-    top = np.argpartition(C, C.shape[1] - q, axis=1)[:, -q:]
+    ``C`` is scratch: its picked entries are overwritten.  The partition runs
+    over row slices of at most ``CORRELATION_BLOCK**2`` entries, so that its
+    index array, the one temporary as wide as ``C``, stays small next to the
+    kernel's block on every thread."""
+    top = np.empty((C.shape[0], q), np.intp)
+    step = max(1, CORRELATION_BLOCK**2 // C.shape[1])
+    for at in range(0, C.shape[0], step):
+        top[at:at + step] = np.argpartition(C[at:at + step], C.shape[1] - q, axis=1)[:, -q:]
     top.sort(axis=1)
     vals = np.take_along_axis(C, top, axis=1)
     # A row's q-th value recurs outside the partition's pick exactly when the
@@ -180,7 +186,9 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighb
     :func:`~tsclust.geometry.normalize_columns` are ranked as they are, not
     clamped to 1; without it the raw absolute inner products are, values
     above 1 included.  This is the one pass over
-    :func:`~tsclust.geometry.abs_gram_rows`; no N x N matrix is formed.
+    :func:`~tsclust.geometry.abs_gram_rows`, on every usable CPU, and each
+    of its blocks is reduced to its picks on the thread that made it; no
+    N x N matrix is formed, and the picks are the same on any thread count.
 
     Raises
     ------
@@ -197,7 +205,7 @@ def select_neighbors(points: PointSet, q: int, normalize: bool = True) -> Neighb
     if q > N - 1:
         raise QTooLarge(f"q={q} exceeds N-1={N - 1}")
     X = (normalize_columns(points) if normalize else points).data
-    picks = [_top_q(C, q) for _, C in abs_gram_rows(X, range(N))]
+    picks = abs_gram_rows(X, range(N), lambda _, C: _top_q(C, q))
     index, corr = (np.concatenate(part) for part in zip(*picks))
     if not np.all(np.isfinite(corr)):  # a row's NaN or inf is among its picks
         raise NonFinite("raw inner products overflow to NaN or Inf; normalize the points")

@@ -333,8 +333,15 @@ print(f"{elapsed:.3f} {ce:.6f}")
 """
 
 
+def _one_cpu():
+    """Pin the calling process to one of the CPUs it may use, so that the
+    neighbor kernel runs on one thread."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_criterion_10a_scale_runtime():
-    """N=1500, m=200 end-to-end under 60 s on a single thread."""
+    """N=1500, m=200 end-to-end under 60 s on a single thread: one BLAS
+    thread, and one CPU for the process."""
     env = dict(os.environ)
     env.update({
         "OMP_NUM_THREADS": "1",
@@ -345,6 +352,7 @@ def test_criterion_10a_scale_runtime():
     })
     proc = subprocess.run(
         [sys.executable, "-c", _SCALE_SCRIPT], capture_output=True, text=True, env=env,
+        preexec_fn=_one_cpu,
     )
     assert proc.returncode == 0, proc.stderr
     elapsed, ce = (float(v) for v in proc.stdout.split())

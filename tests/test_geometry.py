@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ class TestAbsGramRows:
         monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 4)
         X = np.random.default_rng(5).standard_normal((5, 10))
         rows = np.array([7, 2, 9, 0, 5, 3])
-        chunks = list(abs_gram_rows(X, rows))
+        chunks = abs_gram_rows(X, rows, lambda chunk, C: (chunk, C.copy()))
         assert [chunk.tolist() for chunk, _ in chunks] == [[7, 2, 9, 0], [5, 3]]
         expected = np.abs(X[:, rows].T @ X)
         expected[np.arange(6), rows] = -np.inf
@@ -68,15 +70,59 @@ class TestAbsGramRows:
     def test_range_of_all_rows_multiplies_as_numpy_does(self):
         # One chunk slicing all of X: numpy's symmetric X^T X, bit for bit.
         X = np.random.default_rng(6).standard_normal((6, 18))
-        (chunk, C), = abs_gram_rows(X, range(18))
+        C, = abs_gram_rows(X, range(18), lambda _, C: C.copy())
         expected = np.abs(X.T @ X)
         np.fill_diagonal(expected, -np.inf)
         np.testing.assert_array_equal(C, expected)
 
     def test_overflow_is_quiet(self):
         with np.errstate(all="raise"):
-            (_, C), = abs_gram_rows(np.full((2, 3), 1e200), np.arange(3))
+            C, = abs_gram_rows(np.full((2, 3), 1e200), np.arange(3), lambda _, C: C.copy())
         np.testing.assert_array_equal(C, np.where(np.eye(3) > 0, -np.inf, np.inf))
+
+    def test_each_chunk_claimed_once_by_more_threads_than_cores(self, monkeypatch):
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 1)
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 8)
+        X = np.random.default_rng(9).standard_normal((4, 3000))
+        reduced = []
+
+        def reduce(chunk, C):
+            reduced.append(int(chunk[0]))
+            return chunk[0], C.max()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = abs_gram_rows(X, np.arange(3000), reduce)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(reduced) == list(range(3000))
+        assert [row for row, _ in out] == list(range(3000))
+        expected = np.abs(X.T @ X)
+        np.fill_diagonal(expected, -np.inf)
+        np.testing.assert_allclose([top for _, top in out], expected.max(axis=1), rtol=1e-14)
+
+    def test_reduce_error_on_a_helper_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 4)
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+        caller, raised = threading.current_thread(), []
+        helper_failed = threading.Event()
+
+        def reduce(chunk, C):
+            if threading.current_thread() is caller:
+                # Hold the caller's chunk until the helper has failed on its own.
+                assert helper_failed.wait(timeout=30)
+                return C.max(axis=1)
+            raised.append(ValueError("helper chunk"))
+            helper_failed.set()
+            raise raised[0]
+
+        before = threading.active_count()
+        X = np.random.default_rng(8).standard_normal((3, 16))
+        with pytest.raises(ValueError) as exc:
+            abs_gram_rows(X, range(16), reduce)
+        assert exc.value is raised[0]
+        assert threading.active_count() == before
 
 
 class TestPointSetValidation:

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,31 @@ class TestFloat32Screen:
         scores = _max_abs_inner_products(X)
         assert sorted(full) == list(range(120))
         np.testing.assert_allclose(scores, dense_scores(X), rtol=1e-14)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_scores_equal_on_any_worker_count(self, monkeypatch, workers):
+        # Every point takes its whole row, gathered 8 points per block.
+        Y = np.random.default_rng(9).standard_normal((20, 40))
+        X = np.hstack([Y, Y, Y])
+        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 8)
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
+        serial = _max_abs_inner_products(X)
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: workers)
+        full = count_full_rows(monkeypatch)
+        np.testing.assert_array_equal(_max_abs_inner_products(X), serial)
+        assert sorted(full) == list(range(120))
+
+    def test_no_thread_for_no_rows_or_one_block(self, monkeypatch):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 5)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        X = np.random.default_rng(10).standard_normal((4, 6))
+        none = outliers._full_rows(X, np.empty(0, np.intp))
+        assert none.shape == (0,) and none.dtype == float
+        np.testing.assert_allclose(outliers._full_rows(X, np.arange(6)), dense_scores(X),
+                                   rtol=1e-14)
 
     def test_few_points_take_the_whole_row(self, monkeypatch):
         # The m=100 cell of the outliers experiment: N = 4000.

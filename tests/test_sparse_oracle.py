@@ -748,12 +748,14 @@ class TestNeighborTiesAcrossBlocks:
         assert tied_at_q > 100
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), block=st.sampled_from([1, 7, 256]), normalize=st.booleans())
-    def test_property_matches_dense_top_q(self, data, block, normalize):
+    @given(data=st.data(), block=st.sampled_from([1, 7, 256]), normalize=st.booleans(),
+           workers=st.sampled_from([1, 2, 3, 5]))
+    def test_property_matches_dense_top_q(self, data, block, normalize, workers):
         """Small integer directions, each repeated, so rows tie at the q-th
         value inside and outside the pick; with ``normalize`` the directions
         are nonzero and each column is scaled by 2^k or 10^k, without it the
-        raw products exceed 1."""
+        raw products exceed 1.  The kernel's blocks run on ``workers``
+        threads (at most one per block)."""
         m = data.draw(st.integers(2, 5), label="m")
         direction = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
         if normalize:
@@ -773,6 +775,7 @@ class TestNeighborTiesAcrossBlocks:
         q = data.draw(st.integers(1, N - 1), label="q")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "CORRELATION_BLOCK", block)
+            patch.setattr(geometry, "_usable_cpus", lambda: workers)
             got = select_neighbors(PointSet(X), q, normalize=normalize)
             C = dense_abs_correlations(X, normalize)
             expected = dense_neighbors(X, q, normalize)

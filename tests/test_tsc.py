@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tsclust import tsc
+from tsclust import geometry, tsc
 from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints, ZeroVector
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
@@ -66,6 +67,21 @@ class TestSelectNeighbors:
             vals = C[idx, j]
             assert np.all(np.diff(vals) <= 1e-12)
             assert j not in idx
+
+    def test_peak_memory_on_two_workers(self, monkeypatch):
+        # One 256 x 4000 float64 block per worker (7.8 MiB each) and the
+        # partition's index array over 16 rows at a time; an index array over
+        # each whole block would add 7.8 MiB per worker.
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+        X = np.random.default_rng(11).standard_normal((200, 4000))
+        points = normalize_columns(PointSet(X))
+        tracemalloc.start()
+        try:
+            select_neighbors(points, 15, normalize=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_unnormalized_input_matches_normalized(self):
         rng = np.random.default_rng(7)
@@ -245,7 +261,7 @@ class TestRunTsc:
 
         def counted(*args, **kwargs):
             passes.append(args)
-            yield from kernel(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
         kernel = tsc.abs_gram_rows
         monkeypatch.setattr(tsc, "abs_gram_rows", counted)
@@ -264,9 +280,9 @@ class TestRunTsc:
             made.append(out.data)
             return out
 
-        def gram_rows(X, rows):
+        def gram_rows(X, rows, reduce):
             read.append(X)
-            yield from kernel(X, rows)
+            return kernel(X, rows, reduce)
 
         def weights(points, *args, **kwargs):
             weighed.append(points.data)
