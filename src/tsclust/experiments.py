@@ -432,8 +432,9 @@ def _summarize(how: str, values: list) -> float:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
     """Execute every (cell, trial) instance and aggregate per cell.
 
-    ``jobs > 1`` fans trials out to a process pool; records are collected in
-    task order, so the output is bit-identical to a serial run.
+    ``jobs > 1`` fans trials out to a pool of at most one process per trial;
+    records are collected in task order, so the output is bit-identical to a
+    serial run.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -447,7 +448,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
     if jobs == 1 or len(tasks) == 1:
         records = [_run_trial_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             records = list(pool.map(_run_trial_task, tasks, chunksize=1))
 
     param_keys = [axis[0] for axis in scenario.axes]

@@ -6,6 +6,8 @@ The one float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, runs its
 blocks on one thread per usable CPU, with the same bits on any count; it
 serves neighbor selection, whose picks carry the ``exp`` weights'
 correlations, and the outlier scores that the float32 screen cannot prove.
+Its thread runner, :func:`_run_chunks`, is the package's only one: the
+outlier screen runs its float32 strips on it too.
 Every CSV the package writes goes through :func:`write_csv`.
 """
 
@@ -180,52 +182,65 @@ def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
     ``X^T X`` as a symmetric product.  Products that overflow to inf or NaN
     pass through without a warning; callers check for them.
 
-    The chunks run on one thread per usable CPU, at most one per chunk, the
-    calling thread among them; each claims the next unclaimed chunk when
-    done with one, so a thread slowed by other load takes fewer.  Each
-    thread multiplies every chunk it claims, whole, into its own
-    ``CORRELATION_BLOCK x N`` block, so memory stays at O(N * block) per
-    thread and every product has the bits ``Y^T @ X`` gives, on any thread
-    count.  ``C`` is that block: ``reduce`` may overwrite it and must copy
-    what it keeps; it runs under the kernel's numpy error state.  An
-    exception in ``reduce`` stops the other threads at their next claim and
-    reaches the caller.  No thread outlives the call, and empty ``rows``
-    starts none.
+    The chunks run on :func:`_run_chunks`, one thread per usable CPU, at
+    most one per chunk.  Each thread multiplies every chunk it claims,
+    whole, into its own ``CORRELATION_BLOCK x N`` block, so memory stays at
+    O(N * block) per thread and every product has the bits ``Y^T @ X``
+    gives, on any thread count.  ``C`` is that block: ``reduce`` may
+    overwrite it and must copy what it keeps; it runs under the kernel's
+    numpy error state.  Empty ``rows`` starts no thread.
     """
     chunks = [rows[at:at + CORRELATION_BLOCK] for at in range(0, len(rows), CORRELATION_BLOCK)]
     if not chunks:
         return []
-    # Made on this thread: blocks made on the helpers stay resident in
-    # glibc's per-thread arenas after the call.
+
+    def product(i, block):
+        chunk = chunks[i]
+        Y = X[:, chunk.start:chunk.stop] if isinstance(chunk, range) else X[:, chunk]
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = np.matmul(Y.T, X, out=block[:len(chunk)])
+            np.abs(C, out=C)
+            C[np.arange(len(chunk)), chunk] = -np.inf
+            return reduce(chunk, C)
+
     workers = min(_usable_cpus(), len(chunks))
     blocks = [np.empty((len(chunks[0]), X.shape[1])) for _ in range(workers)]
-    out = [None] * len(chunks)
+    return _run_chunks(len(chunks), blocks, product)
+
+
+def _run_chunks(count: int, buffers: list, task) -> list:
+    """``[task(i, buffer) for i in range(count)]``, in chunk order, on one
+    thread per buffer, the calling thread among them; ``buffer`` is the one
+    that belongs to the thread running chunk i.
+
+    Each thread claims the next unclaimed chunk when done with one, so a
+    thread slowed by other load takes fewer.  The caller makes the buffers
+    on its own thread: buffers made on the helpers stay resident in glibc's
+    per-thread arenas after the call.  An exception in ``task`` stops the
+    other threads at their next claim and reaches the caller.  No thread
+    outlives the call, and one buffer starts none.
+    """
+    out = [None] * count
     lock = threading.Lock()
     claimed = 0
 
-    def work(block):
+    def work(buffer):
         nonlocal claimed
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                while True:
-                    with lock:
-                        i, claimed = claimed, claimed + 1
-                    if i >= len(chunks):
-                        return
-                    chunk = chunks[i]
-                    Y = X[:, chunk.start:chunk.stop] if isinstance(chunk, range) else X[:, chunk]
-                    C = np.matmul(Y.T, X, out=block[:len(chunk)])
-                    np.abs(C, out=C)
-                    C[np.arange(len(chunk)), chunk] = -np.inf
-                    out[i] = reduce(chunk, C)
-            except BaseException:
+        try:
+            while True:
                 with lock:
-                    claimed = len(chunks)  # the other threads claim no more
-                raise
+                    i, claimed = claimed, claimed + 1
+                if i >= count:
+                    return
+                out[i] = task(i, buffer)
+        except BaseException:
+            with lock:
+                claimed = count  # the other threads claim no more
+            raise
 
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        helpers = [pool.submit(work, block) for block in blocks[1:]]
-        work(blocks[0])
+    with ThreadPoolExecutor(max(len(buffers) - 1, 1)) as pool:
+        helpers = [pool.submit(work, buffer) for buffer in buffers[1:]]
+        work(buffers[0])
         for helper in helpers:
             helper.result()
     return out

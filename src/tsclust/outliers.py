@@ -9,8 +9,9 @@ float64 maximum over all other points, found by a float32 screen of the
 upper strips of |X^T X| and a float64 rescoring of the few products that
 can hold the maximum (:func:`_max_abs_inner_products`); points the screen
 cannot prove take their whole row from the package's one float64 |X^T X|
-kernel, :func:`~tsclust.geometry.abs_gram_rows`, on every usable CPU; the
-screen itself runs on the calling thread.
+kernel, :func:`~tsclust.geometry.abs_gram_rows`.  The screen's strips and
+the kernel's blocks both run on every usable CPU, through one thread runner
+(:func:`~tsclust.geometry._run_chunks`).
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -174,41 +175,76 @@ def _screen(X: np.ndarray, e: int, G: int):
 
     Returns, for each point, its best screened ``|product|``, the group of
     ``G`` points that holds it (group ``g`` is points ``gG`` to
-    ``gG + G - 1``), the best screened product outside that group, and the
-    float64 norm of its scaled float32 column.  Strip rows ``start:stop``
-    hold the products with points ``j >= start``: their rows serve the
-    strip's own points, and their columns right of the diagonal block the
-    later points, as maxima over each group of G strip points, so each
-    product is computed once.  ``G`` divides the strip length, so no group
-    spans two strips and each point meets each group once.
+    ``gG + G - 1``; the first such group on a tie), the best screened
+    product outside that group, and the float64 norm of its scaled float32
+    column.  The strips (:func:`_strip`) run on
+    :func:`~tsclust.geometry._run_chunks`: one thread per usable CPU, but no
+    more than ``CORRELATION_BLOCK / G`` nor than there are strips of
+    ``CORRELATION_BLOCK`` points.  A strip holds ``CORRELATION_BLOCK /
+    threads`` points, rounded down to a multiple of ``G``, so the threads'
+    float32 buffers together hold one ``CORRELATION_BLOCK x N`` strip, as
+    one thread's does.  The candidates are folded here in strip order, so
+    the result is the serial screen's, bit for bit, on any thread count,
+    as long as BLAS gives each float32 product the same bits in strips of
+    any height (tests check that it does).
     """
     N = X.shape[1]
     Y = np.empty(X.shape, np.float32)
     np.multiply(X, 2.0**-e, out=Y, casting="same_kind")
     norms = np.sqrt(np.einsum("ij,ij->j", Y, Y, dtype=float))
+    block = geometry.CORRELATION_BLOCK
+    workers = min(geometry._usable_cpus(), block // G, -(-N // block))
+    height = block // workers // G * G
+    starts = range(0, N, height)
+    buffers = [np.empty(height * N, np.float32) for _ in range(workers)]
+    candidates = geometry._run_chunks(
+        len(starts), buffers, lambda i, buffer: _strip(Y, starts[i], height, G, buffer)
+    )
     best = np.full(N, -np.inf, np.float32)
     second = best.copy()
     group = np.zeros(N, np.intp)
-    for start in range(0, N, geometry.CORRELATION_BLOCK):
-        stop = min(start + geometry.CORRELATION_BLOCK, N)
-        b = stop - start
-        C = Y[:, start:stop].T @ Y[:, start:]
-        np.abs(C, out=C)
-        np.fill_diagonal(C, -np.inf)
-        if stop < N:
-            M = C[:, b:].reshape(b // G, G, N - stop).max(axis=1)
-            g = M.argmax(axis=0)[None]
-            top = np.take_along_axis(M, g, 0)[0]
-            np.put_along_axis(M, g, -np.inf, 0)
-            _fold(best[stop:], group[stop:], second[stop:], top, start // G + g[0], M.max(axis=0))
-        k = C.argmax(axis=1)[:, None]
-        top = np.take_along_axis(C, k, 1)[:, 0]
-        cols = np.minimum(k // G * G + np.arange(G), N - start - 1)
-        np.put_along_axis(C, cols, -np.inf, 1)
-        _fold(best[start:stop], group[start:stop], second[start:stop], top, (start + k[:, 0]) // G,
-              C.max(axis=1))
-        del C  # so that the next strip is not made while this one is held
+    for start, (later, own) in zip(starts, candidates):
+        stop = min(start + height, N)
+        if later is not None:
+            top, g, rest = later
+            g = np.add(g, start // G, dtype=np.intp)
+            _fold(best[stop:], group[stop:], second[stop:], top, g, rest)
+        _fold(best[start:stop], group[start:stop], second[start:stop], *own)
     return best, group, second, norms
+
+
+def _strip(Y: np.ndarray, start: int, height: int, G: int, buffer: np.ndarray):
+    """The screen's candidates from the strip of ``|Y^T Y|`` with rows
+    ``start:start + height`` and columns ``start:``, multiplied into
+    ``buffer``.
+
+    Its rows give the strip's own points their best product, the group
+    that holds it and the best product outside that group.  Its columns
+    right of the diagonal block give the later points the same over the
+    strip's groups of G points, each group numbered within the strip
+    (``None`` for the last strip).  So each product is computed once;
+    ``G`` divides ``height``, so no group spans two strips.
+    """
+    N = Y.shape[1]
+    stop = min(start + height, N)
+    b = stop - start
+    C = np.matmul(Y[:, start:stop].T, Y[:, start:], out=buffer[:b * (N - start)].reshape(b, -1))
+    np.abs(C, out=C)
+    np.fill_diagonal(C, -np.inf)
+    later = None
+    if stop < N:
+        M = C[:, b:].reshape(b // G, G, N - stop).max(axis=1)
+        g = M.argmax(axis=0)[None]
+        top = np.take_along_axis(M, g, 0)[0]
+        np.put_along_axis(M, g, -np.inf, 0)
+        # The group within the strip in the smallest type, since every
+        # strip's later points are held until the fold.
+        later = top, g[0].astype(np.min_scalar_type(b // G)), M.max(axis=0)
+    k = C.argmax(axis=1)[:, None]
+    top = np.take_along_axis(C, k, 1)[:, 0]
+    cols = np.minimum(k // G * G + np.arange(G), N - start - 1)
+    np.put_along_axis(C, cols, -np.inf, 1)
+    return later, (top, (start + k[:, 0]) // G, C.max(axis=1))
 
 
 def _fold(best, group, second, top, top_group, rest) -> None:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tsclust import experiments
 from tsclust.errors import ConfigError
 from tsclust.experiments import (
     ExperimentSpec,
@@ -176,6 +177,33 @@ class TestRunExperiment:
         parallel = run_experiment(spec, jobs=2)
         assert serial.rows == again.rows == parallel.rows
         assert serial.trial_rows == parallel.trial_rows
+
+    def test_pool_holds_no_more_processes_than_trials(self, monkeypatch):
+        # A stand-in pool that records its size and runs the trials in this
+        # process, so no process is started.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        spec = small_intersect_spec()  # 2 cells x 3 trials
+        serial = run_experiment(spec)
+        capped = run_experiment(spec, jobs=64)
+        run_experiment(spec, jobs=4)
+        assert sizes == [6, 4]
+        assert capped.rows == serial.rows and capped.trial_rows == serial.trial_rows
+        assert capped.manifest["jobs"] == 64
 
     def test_trial_seed_derivation(self):
         spec = small_intersect_spec()

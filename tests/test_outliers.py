@@ -258,16 +258,51 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_scores_equal_on_any_worker_count(self, monkeypatch, workers):
-        # Every point takes its whole row, gathered 8 points per block.
-        Y = np.random.default_rng(9).standard_normal((20, 40))
-        X = np.hstack([Y, Y, Y])
-        monkeypatch.setattr(geometry, "CORRELATION_BLOCK", 8)
-        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
-        serial = _max_abs_inner_products(X)
-        monkeypatch.setattr(geometry, "_usable_cpus", lambda: workers)
-        full = count_full_rows(monkeypatch)
-        np.testing.assert_array_equal(_max_abs_inner_products(X), serial)
-        assert sorted(full) == list(range(120))
+        # Each point's three copies tie for its best product, 200 points
+        # apart, so in different strips on every worker count: every point
+        # takes its whole row, and its group is the first that holds its
+        # best.  Strips of 8, 256 (one worker) and 128, 64 or 32 points.
+        Y = np.random.default_rng(9).standard_normal((20, 200))
+        copies = np.hstack([Y, Y, Y])
+        for X in (copies, outlier_scenario(20, 5).data):
+            e = int(np.frexp(np.abs(X).max())[1])
+            for block in (8, 256):
+                G = math.gcd(block, outliers._GROUP)
+                monkeypatch.setattr(geometry, "CORRELATION_BLOCK", block)
+                monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
+                screen = outliers._screen(X, e, G)
+                serial = _max_abs_inner_products(X)
+                monkeypatch.setattr(geometry, "_usable_cpus", lambda: workers)
+                for got, want in zip(outliers._screen(X, e, G), screen):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+                full = count_full_rows(monkeypatch)
+                np.testing.assert_array_equal(_max_abs_inner_products(X), serial)
+                if X is copies:
+                    assert sorted(full) == list(range(600))
+
+    def test_strip_error_on_a_helper_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+        caller, raised = threading.current_thread(), []
+        helper_failed = threading.Event()
+        strip = outliers._strip
+
+        def failing(*args):
+            if threading.current_thread() is caller:
+                # Hold the caller's strip until the helper has failed on its own.
+                assert helper_failed.wait(timeout=30)
+                return strip(*args)
+            raised.append(ValueError("helper strip"))
+            helper_failed.set()
+            raise raised[0]
+
+        monkeypatch.setattr(outliers, "_strip", failing)
+        before = threading.active_count()
+        X = np.random.default_rng(8).standard_normal((3, 600))
+        with pytest.raises(ValueError) as exc:
+            detect_outliers(PointSet(X))
+        assert exc.value is raised[0]
+        assert threading.active_count() == before
 
     def test_no_thread_for_no_rows_or_one_block(self, monkeypatch):
         def start(thread):
@@ -280,6 +315,13 @@ class TestFloat32Screen:
         assert none.shape == (0,) and none.dtype == float
         np.testing.assert_allclose(outliers._full_rows(X, np.arange(6)), dense_scores(X),
                                    rtol=1e-14)
+        # One strip of the screen, whose tied copies also take whole rows.
+        Y = np.random.default_rng(11).standard_normal((10, 128))
+        X = np.hstack([Y, Y])
+        full = count_full_rows(monkeypatch)
+        np.testing.assert_allclose(detect_outliers(PointSet(X)).scores, dense_scores(X),
+                                   rtol=1e-14)
+        assert full
 
     def test_few_points_take_the_whole_row(self, monkeypatch):
         # The m=100 cell of the outliers experiment: N = 4000.
@@ -289,17 +331,21 @@ class TestFloat32Screen:
         assert len(full) < 0.01 * X.shape[1]
         np.testing.assert_allclose(scores, dense_scores(X), rtol=1e-13)
 
-    def test_peak_memory(self):
-        # The m=200, N=8000 cell: the float32 points (6.1 MiB) and one float32
-        # strip of 256 x 8000 products (7.8 MiB) at a time.
+    def test_peak_memory(self, monkeypatch):
+        # The m=200, N=8000 cell: the float32 points (6.1 MiB), one float32
+        # strip of 256 x 8000 products (7.8 MiB) split among the workers'
+        # buffers, and each strip's candidates for the later points, 9 bytes
+        # a point, held until the fold (2.1 MiB on 2 workers, 8.5 on 8).
         points = outlier_scenario(200, 4)
-        tracemalloc.start()
-        try:
-            detect_outliers(points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 26 * 2**20
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(geometry, "_usable_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                detect_outliers(points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 26 * 2**20, workers
 
 
 class TestReportCsv:

@@ -89,8 +89,13 @@ run_all() {
 
   tsc outliers plain.csv --out plain.outliers.csv
   tsc outliers gauss.csv --c noisy --out gauss.outliers.csv
-  # 1200 points: five strips of the outlier screen and many groups.
+  # 1200 points: five strips of the outlier screen on one CPU, ten on two,
+  # and many groups.
   tsc outliers multi.csv --out multi.outliers.csv
+  # Its first 300 points again at the end: each copy ties with its original
+  # in another strip, so the screen's fold across strips picks the group.
+  { cat multi.csv; sed -n '2,301p' multi.csv; } > copies.csv
+  tsc outliers copies.csv --out copies.outliers.csv
 
   local idx=(--images ../idx/images.idx --labels ../idx/labels.idx)
   tsc mnist-sv "${idx[@]}" --out mnist-sv.csv
