@@ -48,7 +48,6 @@ from .numerics import (
     SpectralDecomposition,
     derive_seed,
     kmeans,
-    least_squares,
     sym_eig,
 )
 from .outliers import NOISELESS_C, NOISY_C, OutlierReport, detect_outliers

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, synth
 from .errors import ConfigError, FileFormatError, InsufficientImages, NonFinite, TscError
 from .experiments import load_spec_file, run_experiment
 from .geometry import PointSet, format_cell, write_csv
@@ -30,7 +30,7 @@ from .ingest import load_idx, remove_top_principal_components, singular_value_pr
 from .numerics import derive_seed
 from .outliers import detect_outliers, threshold_constant
 from .synth import haar_ensemble, intersecting_pair, shared_intersection_ensemble, union_of_subspaces
-from .tsc import DEFAULT_MAX_L, ClusterResult, TscConfig, run_tsc
+from .tsc import DEFAULT_MAX_L, WEIGHT_VARIANTS, ClusterResult, TscConfig, run_tsc
 
 
 def _env_seed(seed: int) -> int:
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster a point CSV")
     p.add_argument("input", help="CSV with header x1,...,xm[,label], one point per row")
     p.add_argument("--q", type=int, required=True, help="neighbor count")
-    p.add_argument("--variant", choices=("exp", "ls"), default="exp")
+    p.add_argument("--variant", choices=WEIGHT_VARIANTS, default="exp")
     p.add_argument("--L", default="estimate", help="cluster count, or 'estimate'")
     p.add_argument("--max-L", type=int, default=None,
                    help="cap for the eigengap search, which sizes the computed spectrum "
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float, default=0.0, help="noise variance")
     p.add_argument("--s", type=int, default=0, help="erased entries per point")
     p.add_argument("--outliers", type=int, default=0, help="outlier count")
-    p.add_argument("--outlier-mode", choices=("sphere", "gaussian"), default="sphere")
+    p.add_argument("--outlier-mode", choices=synth.OUTLIER_MODES, default="sphere")
     p.add_argument("--inlier-scale", default="auto",
                    help="inlier scale factor; 'auto' = 1/sqrt(1+sigma2) when noisy")
     p.add_argument("--erase-before-noise", action="store_true")

@@ -54,7 +54,7 @@ from .synth import (
     shared_intersection_ensemble,
     union_of_subspaces,
 )
-from .tsc import TscConfig, default_q, run_tsc
+from .tsc import WEIGHT_VARIANTS, TscConfig, default_q, run_tsc
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,9 @@ def load_spec_file(path) -> ExperimentSpec:
 def _validate(spec: ExperimentSpec) -> None:
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
-    if spec.variant not in ("exp", "ls"):
-        raise ConfigError(f"variant must be 'exp' or 'ls', got {spec.variant!r}")
+    if spec.variant not in WEIGHT_VARIANTS:
+        choices = " or ".join(map(repr, WEIGHT_VARIANTS))
+        raise ConfigError(f"variant must be {choices}, got {spec.variant!r}")
     if spec.q is not None and spec.q < 1:
         raise ConfigError(f"q must be >= 1, got {spec.q}")
     try:
@@ -179,6 +180,8 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ConfigError("every sweep axis must list at least one value")
     for cell in cells:
         filled = _filled(spec, cell)
+        if filled.n < 1:
+            raise ConfigError(f"n must be >= 1, got {filled.n}")
         if not (math.isfinite(filled.sigma2) and filled.sigma2 >= 0):
             raise ConfigError(f"sigma2 must be finite and >= 0, got {filled.sigma2}")
         _SCENARIOS[spec.scenario].check(filled, cell)
@@ -232,14 +235,16 @@ def _check_outliers(spec: ExperimentSpec, cell: dict) -> None:
         raise ConfigError(f"need 1 <= d <= m, got d={spec.d}, m={spec.m}")
     if 2 * spec.m % spec.d != 0:
         raise ConfigError(f"2m must be divisible by d, got m={spec.m}, d={spec.d}")
+    if not (math.isfinite(spec.outlier_factor) and spec.outlier_factor >= 0):
+        raise ConfigError(f"outlier_factor must be finite and >= 0, got {spec.outlier_factor}")
     threshold_constant(spec.c, spec.sigma2 > 0)
 
 
 def _check_mnist(spec: ExperimentSpec, cell: dict) -> None:
     if not spec.images or not spec.labels:
         raise ConfigError("mnist scenario needs 'images' and 'labels' paths")
-    if len(spec.digits) < 2:
-        raise ConfigError("mnist scenario needs at least two digits")
+    if not all(type(v) is int and 0 <= v <= 9 for v in spec.digits) or len(set(spec.digits)) < 2:
+        raise ConfigError(f"digits must list two or more distinct digits 0-9, got {spec.digits}")
     _cell_q(spec, len(set(spec.digits)))
 
 

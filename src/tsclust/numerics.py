@@ -288,26 +288,11 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=values[order[:k]], components=components, N=N)
 
 
-def least_squares(B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``B w ~= y``.
-
-    Computed through the SVD with singular values below
+def _min_norm(B: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``B w ~= y`` for finite float
+    ``B`` (2-D) and ``y`` (1-D), unchecked: the SVD with singular values below
     ``LSTSQ_RCOND * sigma_max`` treated as zero, which extends the
-    pseudo-inverse continuously to rank-deficient ``B``.
-
-    Raises
-    ------
-    NonFinite
-        If ``B`` or ``y`` contains NaN or Inf.
-    """
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if B.ndim != 2:
-        raise ValueError(f"B must be 2-D, got shape {B.shape}")
-    if B.shape[0] != y.size:
-        raise ValueError(f"B has {B.shape[0]} rows but y has {y.size} entries")
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(y))):
-        raise NonFinite("least-squares input contains NaN or Inf")
+    pseudo-inverse continuously to rank-deficient ``B``."""
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(B.shape[1])

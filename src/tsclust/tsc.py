@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .errors import ConfigError, NonFinite, QTooLarge, TooFewPoints
 from .geometry import CORRELATION_BLOCK, PointSet, abs_gram_rows, normalize_columns, write_csv
-from .numerics import SpectralDecomposition, kmeans, least_squares, sym_eig
+from .numerics import SpectralDecomposition, _min_norm, kmeans, sym_eig
 
 #: Node degrees at or below this are treated as zero (isolated node).
 DEGREE_TOL = 1e-14
@@ -239,7 +239,7 @@ def compute_weights(
         weights = np.exp(-2.0 * np.arccos(np.minimum(neighbors.corr.ravel(), 1.0)))
     else:
         weights = np.concatenate(
-            [np.abs(least_squares(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors.index)]
+            [np.abs(_min_norm(X[:, idx], X[:, j])) for j, idx in enumerate(neighbors.index)]
         )
     return sparse.csr_array((weights, (rows, cols)), shape=(N, N))
 

@@ -127,6 +127,37 @@ class TestLoadSpec:
             load_spec(raw)
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"scenario": "outliers", "n": 0}, "n must be >= 1"),
+            ({"scenario": "outliers", "n": -2}, "n must be >= 1"),
+            ({"scenario": "intersect", "n": 0, "q": 5, "t_values": [0]}, "n must be >= 1"),
+            ({"scenario": "grid", "q": 3, "n_values": [50, 0]}, "n must be >= 1"),
+            ({"scenario": "mnist", "images": "i", "labels": "l", "q": 3, "n_values": [-1]},
+             "n must be >= 1"),
+            ({"scenario": "outliers", "outlier_factor": -1}, "outlier_factor must be finite and >= 0"),
+            ({"scenario": "outliers", "outlier_factor": float("nan")},
+             "outlier_factor must be finite and >= 0"),
+            ({"scenario": "outliers", "outlier_factor": float("inf")},
+             "outlier_factor must be finite and >= 0"),
+        ],
+        ids=["zero-n", "negative-n", "intersect-zero-n", "zero-n-axis", "mnist-negative-n",
+             "negative-factor", "nan-factor", "inf-factor"],
+    )
+    def test_bad_n_or_outlier_factor_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_spec(raw)
+
+    @pytest.mark.parametrize(
+        "digits",
+        [[2, 2.5], [2, "a"], [2, True], [2, 10], [-1, 2], [2, 2], [2]],
+        ids=["fraction", "text", "bool", "ten", "negative", "one-distinct", "one"],
+    )
+    def test_bad_digits_rejected(self, digits):
+        with pytest.raises(ConfigError, match="^digits must"):
+            load_spec({"scenario": "mnist", "images": "i", "labels": "l", "digits": digits})
+
+    @pytest.mark.parametrize(
         "raw",
         [
             {"scenario": "grid", "sigma2": 0},

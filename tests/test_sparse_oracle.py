@@ -22,7 +22,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from tsclust import geometry, numerics, tsc
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
-from tsclust.numerics import kmeans, least_squares, sym_eig
+from tsclust.numerics import _min_norm, kmeans, sym_eig
 from tsclust.synth import haar_ensemble, intersecting_pair, orthogonal_ensemble, union_of_subspaces
 from tsclust.tsc import (
     TscConfig,
@@ -70,7 +70,7 @@ def dense_laplacian(points, config):
             Z[idx, j] = np.exp(-2.0 * np.arccos(np.minimum(C[j, idx], 1.0)))
     else:
         for j, idx in enumerate(neighbors):
-            Z[idx, j] = np.abs(least_squares(X[:, idx], X[:, j]))
+            Z[idx, j] = np.abs(_min_norm(X[:, idx], X[:, j]))
     A = Z + Z.T
     deg = A.sum(axis=1)
     pos = deg > tsc.DEGREE_TOL

@@ -106,6 +106,7 @@ run_all() {
     'grid-exp {"scenario": "grid", "trials": 2, "seed": 1}' \
     'grid-ls {"scenario": "grid", "trials": 2, "seed": 1, "variant": "ls"}' \
     'intersect {"scenario": "intersect", "trials": 2, "seed": 2}' \
+    'intersect-ls {"scenario": "intersect", "trials": 1, "seed": 2, "variant": "ls"}' \
     'noise-grid {"scenario": "noise-grid", "trials": 2, "seed": 3}' \
     'huge-noise {"scenario": "huge-noise", "trials": 2, "seed": 4}' \
     'outliers {"scenario": "outliers", "trials": 2, "seed": 5}' \
