@@ -93,8 +93,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = load_spec_file(args.spec)
-    if os.environ.get("TSC_SEED") is not None:
-        spec = replace(spec, seed=_env_seed(spec.seed))
+    spec = replace(spec, seed=_env_seed(spec.seed))
     result = run_experiment(spec, jobs=args.jobs)
     write_csv(args.out, result.header, result.rows)
     manifest_path = args.manifest or args.out + ".manifest.json"

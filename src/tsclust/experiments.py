@@ -63,7 +63,9 @@ class ExperimentSpec:
 
     Unset fields take scenario defaults in :func:`load_spec`.  ``q = None``
     applies the per-cluster-size default rule cell by cell; ``max_L = None``
-    caps the eigengap search at :data:`tsclust.tsc.DEFAULT_MAX_L`.
+    caps the eigengap search at :data:`tsclust.tsc.DEFAULT_MAX_L`.  Each
+    annotation, built from ``int``, ``float``, ``bool``, ``str``, ``None`` and
+    ``tuple[T, ...]``, names the JSON values :func:`load_spec` admits.
     """
 
     scenario: str
@@ -77,25 +79,24 @@ class ExperimentSpec:
     d: int | None = None
     L: int | None = None
     n: int | None = None
-    t_values: tuple | None = None
-    d_values: tuple | None = None
-    n_values: tuple | None = None
-    sigma2_values: tuple | None = None
-    m_values: tuple | None = None
+    t_values: tuple[int, ...] | None = None
+    d_values: tuple[int, ...] | None = None
+    n_values: tuple[int, ...] | None = None
+    sigma2_values: tuple[float, ...] | None = None
+    m_values: tuple[int, ...] | None = None
     sigma2: float = 0.0
     s: int = 0
     ensemble: str = "haar"
     noise_first: bool = True
-    c: object = None
+    c: float | str | None = None
     outlier_factor: float = 1.0
     images: str | None = None
     labels: str | None = None
-    digits: tuple = (2, 4, 8)
+    digits: tuple[int, ...] = (2, 4, 8)
     center: bool = False
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentSpec)}
-_TUPLE_FIELDS = {"t_values", "d_values", "n_values", "sigma2_values", "m_values", "digits"}
 
 #: The values each scalar annotation of ``ExperimentSpec`` admits.
 _SCALAR_TYPES = {
@@ -103,17 +104,25 @@ _SCALAR_TYPES = {
     "str": str, "None": type(None),
 }
 
+#: The fields that must be >= 1 wherever they are set, swept or not.
+_COUNTS = ("trials", "q", "max_L", "m", "d", "L", "n")
+
+
+def _admits(kind: str, value) -> bool:
+    """Whether the annotation ``kind`` admits ``value``: a list for
+    ``tuple[T, ...]`` when every entry is a ``T``; a bool is no number."""
+    if kind.startswith("tuple["):
+        entry = kind.removeprefix("tuple[").removesuffix(", ...]")
+        return isinstance(value, (list, tuple)) and all(_admits(entry, v) for v in value)
+    is_bool = isinstance(value, (bool, np.bool_))
+    return isinstance(value, _SCALAR_TYPES[kind]) and is_bool == (kind == "bool")
+
 
 def _check_types(raw: dict) -> None:
-    """Reject a scalar spec field whose value its annotation does not admit
-    (a bool is no number); sweep axes and ``c`` are checked elsewhere."""
+    """Reject a spec field whose value its annotation does not admit."""
     for f in fields(ExperimentSpec):
-        kinds = f.type.split(" | ")
-        if f.name in raw and set(kinds) <= set(_SCALAR_TYPES):
-            value = raw[f.name]
-            admitted = [k for k in kinds if isinstance(value, _SCALAR_TYPES[k])]
-            if not admitted or isinstance(value, (bool, np.bool_)) != ("bool" in admitted):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.name in raw and not any(_admits(k, raw[f.name]) for k in f.type.split(" | ")):
+            raise ConfigError(f"{f.name} must be {f.type}, got {raw[f.name]!r}")
 
 
 def load_spec(raw: dict) -> ExperimentSpec:
@@ -123,9 +132,10 @@ def load_spec(raw: dict) -> ExperimentSpec:
     Raises
     ------
     ConfigError
-        On unknown keys, unknown scenarios, a scalar field of the wrong type
-        (``"3"`` for an integer, ``"no"`` for a bool), ``null`` for a field the
-        scenario needs, an empty sweep axis, or a cell the scenario cannot
+        On unknown keys, unknown scenarios, a field its annotation does not
+        admit (``"3"`` or ``true`` for an integer, ``[5.7]`` for a list of
+        integers), ``null`` for a field the scenario needs, a null or empty
+        sweep axis, a count below 1, ``d > m``, or a cell the scenario cannot
         run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
@@ -138,19 +148,13 @@ def load_spec(raw: dict) -> ExperimentSpec:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     _check_types(raw)
     merged = dict(_SCENARIOS[scenario].defaults)
-    merged.update({k: v for k, v in raw.items() if k != "scenario"})
-    for key in _TUPLE_FIELDS & set(merged):
-        if merged[key] is not None:
-            try:
-                merged[key] = tuple(merged[key])
-            except TypeError:
-                raise ConfigError(f"{key} must be a list, got {merged[key]!r}") from None
-    spec = ExperimentSpec(scenario=scenario, **merged)
+    merged.update({k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    spec = ExperimentSpec(**merged)
     for name in _SCENARIOS[scenario].needs:
         if getattr(spec, name) is None:
             raise ConfigError(f"{name} must not be null in scenario {scenario!r}")
-    if spec.scenario == "intersect" and spec.t_values is None:
-        spec = replace(spec, t_values=tuple(range(spec.d + 1)))
+    if spec.scenario == "intersect" and "t_values" not in raw:
+        spec = replace(spec, t_values=tuple(range(max(spec.d, 0) + 1)))
     _validate(spec)
     return spec
 
@@ -165,23 +169,20 @@ def load_spec_file(path) -> ExperimentSpec:
 
 
 def _validate(spec: ExperimentSpec) -> None:
-    if spec.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if spec.variant not in WEIGHT_VARIANTS:
         choices = " or ".join(map(repr, WEIGHT_VARIANTS))
         raise ConfigError(f"variant must be {choices}, got {spec.variant!r}")
-    if spec.q is not None and spec.q < 1:
-        raise ConfigError(f"q must be >= 1, got {spec.q}")
-    try:
-        cells = _cells(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"every sweep axis must list numbers ({exc})") from None
-    if not cells:
-        raise ConfigError("every sweep axis must list at least one value")
-    for cell in cells:
+    for _, field, _ in _SCENARIOS[spec.scenario].axes:
+        if not getattr(spec, field):
+            raise ConfigError(f"{field} must list at least one value")
+    for cell in _cells(spec):
         filled = _filled(spec, cell)
-        if filled.n < 1:
-            raise ConfigError(f"n must be >= 1, got {filled.n}")
+        for name in _COUNTS:
+            value = getattr(filled, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if None not in (filled.d, filled.m) and filled.d > filled.m:
+            raise ConfigError(f"d must be <= m, got d={filled.d}, m={filled.m}")
         if not (math.isfinite(filled.sigma2) and filled.sigma2 >= 0):
             raise ConfigError(f"sigma2 must be finite and >= 0, got {filled.sigma2}")
         _SCENARIOS[spec.scenario].check(filled, cell)
@@ -208,8 +209,6 @@ def _cell_q(spec: ExperimentSpec, groups: int) -> int:
 
 
 def _check_intersect(spec: ExperimentSpec, cell: dict) -> None:
-    if spec.d > spec.m:
-        raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
     t = cell["t"]
     if not 0 <= t <= spec.d:
         raise ConfigError(f"t values must lie in [0, d], got {t}")
@@ -221,8 +220,6 @@ def _check_intersect(spec: ExperimentSpec, cell: dict) -> None:
 def _check_grid(spec: ExperimentSpec, cell: dict) -> None:
     if spec.ensemble not in ("haar", "shared"):
         raise ConfigError(f"ensemble must be 'haar' or 'shared', got {spec.ensemble!r}")
-    if spec.d > spec.m:
-        raise ConfigError(f"need d <= m, got d={spec.d}, m={spec.m}")
     if spec.ensemble == "shared" and spec.d % 3 != 0:
         raise ConfigError(f"shared ensemble needs d divisible by 3, got {spec.d}")
     if not 0 <= spec.s < spec.m:
@@ -231,8 +228,6 @@ def _check_grid(spec: ExperimentSpec, cell: dict) -> None:
 
 
 def _check_outliers(spec: ExperimentSpec, cell: dict) -> None:
-    if not 1 <= spec.d <= spec.m:
-        raise ConfigError(f"need 1 <= d <= m, got d={spec.d}, m={spec.m}")
     if 2 * spec.m % spec.d != 0:
         raise ConfigError(f"2m must be divisible by d, got m={spec.m}, d={spec.d}")
     if not (math.isfinite(spec.outlier_factor) and spec.outlier_factor >= 0):
@@ -243,7 +238,7 @@ def _check_outliers(spec: ExperimentSpec, cell: dict) -> None:
 def _check_mnist(spec: ExperimentSpec, cell: dict) -> None:
     if not spec.images or not spec.labels:
         raise ConfigError("mnist scenario needs 'images' and 'labels' paths")
-    if not all(type(v) is int and 0 <= v <= 9 for v in spec.digits) or len(set(spec.digits)) < 2:
+    if not all(0 <= v <= 9 for v in spec.digits) or len(set(spec.digits)) < 2:
         raise ConfigError(f"digits must list two or more distinct digits 0-9, got {spec.digits}")
     _cell_q(spec, len(set(spec.digits)))
 

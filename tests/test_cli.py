@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tsclust.geometry import PointSet
+from tsclust.ingest import remove_top_principal_components, singular_value_profile
 from tsclust.metrics import clustering_error
 from tsclust.tsc import DEFAULT_MAX_L
 
@@ -225,6 +226,14 @@ class TestExperimentCommand:
         m2 = json.loads((tmp_path / "e2.csv.manifest.json").read_text())
         assert m1["master_seed"] == 9 and m2["master_seed"] == 123
 
+    def test_non_integer_env_seed_exits_2(self, tmp_path):
+        spec = self.write_spec(tmp_path)
+        proc = run_cli("experiment", spec, "--out", tmp_path / "o.csv",
+                       env_extra={"TSC_SEED": "abc"})
+        assert proc.returncode == 2
+        assert "TSC_SEED must be an integer" in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_spec_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": "intersect", "wat": 1}))
@@ -350,6 +359,29 @@ class TestMnistSvCommand:
         assert proc.returncode == 0, proc.stderr
         assert "of 2 digit classes" in proc.stdout
         assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"1", "5"}
+
+    @pytest.mark.parametrize(
+        "flags, reduce",
+        [
+            (["--center"], lambda block: block - block.mean(axis=1, keepdims=True)),
+            (["--remove-top-k", "2"], lambda block: remove_top_principal_components(block, 2)),
+        ],
+        ids=["center", "remove-top-k"],
+    )
+    def test_reduced_profiles(self, tmp_path, write_idx, flags, reduce):
+        out = tmp_path / "sv.csv"
+        proc = run_mnist_sv(tmp_path, write_idx, "--digits", "1,5", *flags, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        ds = synthetic_dataset(n_per_digit=12, digits=(1, 5), seed=2)
+        expected = [
+            [digit, i, value]
+            for digit in (1, 5)
+            for i, value in enumerate(
+                singular_value_profile(reduce(ds.images[:, ds.digit_labels == digit]))
+            )
+        ]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [[int(d), int(i), float(v)] for d, i, v in rows] == expected
 
     @pytest.mark.parametrize("digits", ["1,11", "-1", "1,a"])
     def test_digit_outside_0_9_exits_2(self, tmp_path, write_idx, digits):

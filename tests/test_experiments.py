@@ -101,6 +101,7 @@ class TestLoadSpec:
             ("grid", "noise_first", 0),
             ("mnist", "center", "yes"),
             ("mnist", "images", 5),
+            ("outliers", "c", True),
         ],
     )
     def test_mistyped_scalar_rejected(self, scenario, field, value):
@@ -156,6 +157,41 @@ class TestLoadSpec:
     def test_bad_digits_rejected(self, digits):
         with pytest.raises(ConfigError, match="^digits must"):
             load_spec({"scenario": "mnist", "images": "i", "labels": "l", "digits": digits})
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"scenario": "grid", "q": 3, "d_values": [5.7], "n_values": [20.9, True]},
+             "d_values must be"),
+            ({"scenario": "grid", "d_values": ["5"]}, "d_values must be"),
+            ({"scenario": "grid", "d_values": "15"}, "d_values must be"),
+            ({"scenario": "noise-grid", "sigma2_values": [True]}, "sigma2_values must be"),
+            ({"scenario": "outliers", "m_values": "100"}, "m_values must be"),
+            ({"scenario": "grid", "L": 0}, "L must be >= 1"),
+            ({"scenario": "grid", "m": 0}, "m must be >= 1"),
+            ({"scenario": "grid", "max_L": 0}, "max_L must be >= 1"),
+            ({"scenario": "intersect", "d": 0}, "d must be >= 1"),
+            ({"scenario": "huge-noise", "d": 0}, "d must be >= 1"),
+            ({"scenario": "grid", "d_values": [0]}, "d must be >= 1"),
+            ({"scenario": "intersect", "d": -1}, "d must be >= 1"),
+            ({"scenario": "outliers", "d": 10, "m_values": [50, 5]}, "d must be <= m"),
+            ({"scenario": "noise-grid", "sigma2_values": None}, "sigma2_values must list"),
+            ({"scenario": "intersect", "t_values": None}, "t_values must list"),
+        ],
+        ids=["fraction-and-bool-entries", "text-entry", "string-axis", "bool-sigma2-entry",
+             "string-m-axis", "zero-L", "zero-m", "zero-max-L", "intersect-zero-d",
+             "huge-noise-zero-d", "zero-d-axis", "intersect-negative-d", "d-above-m-axis",
+             "null-axis", "intersect-null-axis"],
+    )
+    def test_bad_sweep_or_count_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_spec(raw)
+
+    def test_integer_sigma2_entry_is_a_float_cell(self):
+        spec = load_spec({"scenario": "noise-grid", "sigma2_values": [0, 0.1]})
+        first = experiments._cells(spec)[0]["sigma2"]
+        assert first == 0.0 and type(first) is float
+        assert spec.sigma2_values == (0, 0.1)
 
     @pytest.mark.parametrize(
         "raw",

@@ -108,6 +108,7 @@ run_all() {
     'intersect {"scenario": "intersect", "trials": 2, "seed": 2}' \
     'intersect-ls {"scenario": "intersect", "trials": 1, "seed": 2, "variant": "ls"}' \
     'noise-grid {"scenario": "noise-grid", "trials": 2, "seed": 3}' \
+    'noise-grid-int {"scenario": "noise-grid", "trials": 1, "seed": 8, "sigma2_values": [0, 0.2], "n_values": [40]}' \
     'huge-noise {"scenario": "huge-noise", "trials": 2, "seed": 4}' \
     'outliers {"scenario": "outliers", "trials": 2, "seed": 5}' \
     'outliers-noisy {"scenario": "outliers", "trials": 2, "seed": 6, "sigma2": 0.1}' \
