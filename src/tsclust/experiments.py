@@ -30,6 +30,7 @@ Scenarios
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -134,9 +135,10 @@ def load_spec(raw: dict) -> ExperimentSpec:
     ConfigError
         On unknown keys, unknown scenarios, a field its annotation does not
         admit (``"3"`` or ``true`` for an integer, ``[5.7]`` for a list of
-        integers), ``null`` for a field the scenario needs, a null or empty
-        sweep axis, a count below 1, ``d > m``, or a cell the scenario cannot
-        run (infeasible dimensions, a bad ``c``).
+        integers), a field outside the scenario's defaults that is not at
+        its unset value, ``null`` for a non-sweep field whose default is not
+        null, a null or empty sweep axis, a count below 1, ``d > m``, or a
+        cell the scenario cannot run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
         raise ConfigError("experiment spec must be a JSON object")
@@ -147,11 +149,18 @@ def load_spec(raw: dict) -> ExperimentSpec:
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     _check_types(raw)
-    merged = dict(_SCENARIOS[scenario].defaults)
+    record = _SCENARIOS[scenario]
+    merged = dict(record.defaults)
     merged.update({k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
     spec = ExperimentSpec(**merged)
-    for name in _SCENARIOS[scenario].needs:
-        if getattr(spec, name) is None:
+    unset = ExperimentSpec(scenario)
+    for name in raw:
+        read = name in ("scenario", "seed", "trials", *record.defaults)
+        if not read and getattr(spec, name) != getattr(unset, name):
+            raise ConfigError(f"{name} has no effect in scenario {scenario!r}")
+    sweeps = {field for _, field, _ in record.axes}
+    for name, default in record.defaults.items():
+        if default is not None and name not in sweeps and getattr(spec, name) is None:
             raise ConfigError(f"{name} must not be null in scenario {scenario!r}")
     if spec.scenario == "intersect" and "t_values" not in raw:
         spec = replace(spec, t_values=tuple(range(max(spec.d, 0) + 1)))
@@ -298,14 +307,14 @@ def _trial_outliers(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
     return {"outlier_err": err, "fn": fn, "fp": fp}
 
 
-_IDX_CACHE: dict = {}
+@functools.cache
+def _idx_dataset(images: str, labels: str):
+    """The IDX image/label pair, read once per process."""
+    return load_idx(images, labels)
 
 
 def _trial_mnist(spec: ExperimentSpec, cell: dict, seed: int) -> dict:
-    key = (spec.images, spec.labels)
-    if key not in _IDX_CACHE:
-        _IDX_CACHE[key] = load_idx(*key)
-    ds = _IDX_CACHE[key]
+    ds = _idx_dataset(spec.images, spec.labels)
     points = subsample_digits(ds, spec.digits, spec.n, derive_seed(seed, 2), spec.center)
     return _cluster_record(spec, points, len(set(spec.digits)), seed)
 
@@ -322,63 +331,75 @@ _CLUSTER_SUMMARY = (
 class Scenario:
     """Everything that defines one scenario.
 
-    ``axes`` are the sweeps as ``(CSV column, spec field, type)``, the first
-    outermost.  A CSV row holds the axis values, the spec fields in
-    ``copied`` and the ``summary`` of the cell's trial records as ``(CSV
-    column, "mean" or "std", record key)``.  ``needs`` names the scalar
-    fields the trial reads that no axis fills.  ``trial(spec, cell, seed)`` and
-    ``check(spec, cell)`` get the spec with the cell filled in.  They reach
-    the library through module globals, which a tracer may swap.
+    ``defaults`` hold every field that ``trial`` and ``check`` read, except
+    ``seed`` and ``trials``, at its value when unset (and two they do not,
+    ``intersect``'s ``L`` and ``outliers``' ``L_known``, which manifests
+    record).  No field whose default is not null may be null, sweeps aside,
+    and every other field must keep its unset value in
+    :class:`ExperimentSpec`.  ``axes`` are the sweeps as ``(CSV column,
+    spec field, type)``, the first outermost.  A CSV row holds the axis
+    values, the spec fields in ``copied`` and the ``summary`` of the cell's
+    trial records as ``(CSV column, "mean" or "std", record key)``.
+    ``trial(spec, cell, seed)`` and ``check(spec, cell)`` get the spec with
+    the cell filled in.  They reach the library through module globals,
+    which a tracer may swap.
     """
 
     defaults: dict
     axes: tuple
     trial: Callable
     check: Callable
-    needs: tuple = ()
     copied: tuple = ()
     summary: tuple = _CLUSTER_SUMMARY
 
 
 _SCENARIOS = {
     "intersect": Scenario(
-        defaults=dict(m=200, d=10, n=200, L=2, L_known=False),
+        defaults=dict(
+            m=200, d=10, n=200, L=2, L_known=False, variant="exp", q=None, max_L=None,
+            t_values=None,
+        ),
         axes=(("t", "t_values", int),),
         trial=_trial_intersect,
         check=_check_intersect,
-        needs=("m", "d", "n", "L_known"),
     ),
     "grid": Scenario(
-        defaults=dict(m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200)),
+        defaults=dict(
+            m=50, L=10, L_known=False, d_values=(5, 10, 15), n_values=(50, 100, 200),
+            variant="exp", q=None, max_L=None, sigma2=0.0, s=0, ensemble="haar", noise_first=True,
+        ),
         axes=(("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L", "L_known"),
         copied=("s",),
     ),
     "noise-grid": Scenario(
         defaults=dict(
             m=50, L=10, L_known=True, d_values=(5,), n_values=(100,),
-            sigma2_values=(0.0, 0.1, 0.2, 0.3),
+            sigma2_values=(0.0, 0.1, 0.2, 0.3), variant="exp", q=None, max_L=None,
+            s=0, ensemble="haar", noise_first=True,
         ),
         axes=(("sigma2", "sigma2_values", float), ("d", "d_values", int), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L", "L_known"),
     ),
     "huge-noise": Scenario(
-        defaults=dict(m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0)),
+        defaults=dict(
+            m=400, L=5, d=5, L_known=True, n_values=(100,), sigma2_values=(0.5, 1.0),
+            variant="exp", q=None, max_L=None, s=0, ensemble="haar", noise_first=True,
+        ),
         axes=(("sigma2", "sigma2_values", float), ("n", "n_values", int)),
         trial=_trial_grid,
         check=_check_grid,
-        needs=("m", "L", "d", "L_known"),
     ),
     "outliers": Scenario(
-        defaults=dict(d=5, n=50, m_values=(50, 100, 200), L_known=True),
+        defaults=dict(
+            d=5, n=50, m_values=(50, 100, 200), L_known=True, sigma2=0.0, c=None,
+            outlier_factor=1.0,
+        ),
         axes=(("m", "m_values", int),),
         trial=_trial_outliers,
         check=_check_outliers,
-        needs=("d", "n"),
         summary=(
             ("misclassification_error", "mean", "outlier_err"),
             ("misclassification_std", "std", "outlier_err"),
@@ -387,11 +408,13 @@ _SCENARIOS = {
         ),
     ),
     "mnist": Scenario(
-        defaults=dict(L_known=True, n_values=(100,)),
+        defaults=dict(
+            L_known=True, n_values=(100,), variant="exp", q=None, max_L=None, images=None,
+            labels=None, digits=(2, 4, 8), center=False,
+        ),
         axes=(("n", "n_values", int),),
         trial=_trial_mnist,
         check=_check_mnist,
-        needs=("L_known",),
         summary=(("ce_mean", "mean", "ce"), ("ce_std", "std", "ce")),
     ),
 }

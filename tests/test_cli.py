@@ -254,6 +254,14 @@ class TestExperimentCommand:
         assert proc.returncode == 2, proc.stderr
         assert "n must not be null" in proc.stderr
 
+    def test_unread_field_exits_2(self, tmp_path):
+        path = tmp_path / "unread.json"
+        path.write_text(json.dumps({"scenario": "intersect", "sigma2": 0.3}))
+        proc = run_cli("experiment", path, "--out", tmp_path / "o.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "sigma2 has no effect in scenario 'intersect'" in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_non_finite_sigma2_exits_2(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"scenario": "noise-grid", "sigma2_values": [NaN]}')

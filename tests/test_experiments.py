@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -73,7 +74,22 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="q=8 exceeds N-1=5"):
             load_spec({"scenario": "mnist", "images": "i", "labels": "l", "digits": [2, 8, 8],
                        "q": 8, "n_values": [3]})
-        assert load_spec({"scenario": "outliers", "q": 10**6}).q == 10**6
+        with pytest.raises(ConfigError, match="^q has no effect in scenario 'outliers'"):
+            load_spec({"scenario": "outliers", "q": 10**6})
+
+    @pytest.mark.parametrize("raw", [[], "grid", None], ids=["list", "string", "null"])
+    def test_non_object_spec_rejected(self, raw):
+        with pytest.raises(ConfigError, match="^experiment spec must be a JSON object"):
+            load_spec(raw)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError, match="^variant must be 'exp' or 'ls'"):
+            load_spec({"scenario": "grid", "variant": "lasso"})
+
+    @pytest.mark.parametrize("t", [-1, 6])
+    def test_t_outside_zero_to_d_rejected(self, t):
+        with pytest.raises(ConfigError, match=r"^t values must lie in \[0, d\]"):
+            small_intersect_spec(t_values=[t])
 
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
@@ -199,7 +215,7 @@ class TestLoadSpec:
             {"scenario": "grid", "sigma2": 0},
             {"scenario": "outliers", "outlier_factor": 2, "sigma2": 0.1},
             {"scenario": "grid", "q": None, "max_L": None},
-            {"scenario": "intersect", "L_known": True, "noise_first": False, "s": 0},
+            {"scenario": "grid", "L_known": True, "noise_first": False, "s": 0},
         ],
         ids=["int-sigma2", "int-factor", "nulls", "bools"],
     )
@@ -210,11 +226,48 @@ class TestLoadSpec:
     @pytest.mark.parametrize(
         "scenario, field",
         [("grid", "m"), ("intersect", "d"), ("outliers", "n"), ("noise-grid", "L")]
-        + [(s, "L_known") for s in ("intersect", "grid", "noise-grid", "huge-noise", "mnist")],
+        + [(s, "L_known") for s in ("intersect", "grid", "noise-grid", "huge-noise", "mnist")]
+        + [("intersect", "L"), ("outliers", "L_known")],
     )
     def test_null_for_needed_field_rejected(self, scenario, field):
         with pytest.raises(ConfigError, match=f"^{field} must not be null"):
             load_spec({"scenario": scenario, field: None})
+
+    @pytest.mark.parametrize(
+        "scenario, field, value",
+        [
+            ("intersect", "sigma2", 0.3),
+            ("intersect", "s", 2),
+            ("intersect", "ensemble", "shared"),
+            ("intersect", "noise_first", False),
+            ("outliers", "q", 10**6),
+            ("outliers", "L", 3),
+            ("outliers", "variant", "ls"),
+            ("outliers", "max_L", 4),
+            ("outliers", "s", 1),
+            ("grid", "d", 7),
+            ("grid", "n", 30),
+            ("grid", "c", 1.5),
+            ("noise-grid", "sigma2", 0.5),
+            ("huge-noise", "sigma2", 0.5),
+            ("huge-noise", "t_values", [0, 1]),
+            ("mnist", "L", 3),
+            ("mnist", "m", 784),
+            ("mnist", "sigma2", 0.1),
+        ],
+    )
+    def test_field_the_scenario_does_not_read_rejected(self, scenario, field, value):
+        raw = {"scenario": scenario, field: value}
+        if scenario == "mnist":
+            raw.update(images="i.idx", labels="l.idx")
+        with pytest.raises(ConfigError, match=f"^{field} has no effect in scenario '{scenario}'"):
+            load_spec(raw)
+
+    def test_unread_field_at_its_unset_value_loads(self):
+        raw = {"scenario": "outliers", "n": 50, "trials": 1, "seed": 7, "q": None,
+               "variant": "exp", "s": 0, "noise_first": True, "digits": [2, 4, 8]}
+        spec = load_spec(raw)
+        assert spec == load_spec({"scenario": "outliers", "n": 50, "trials": 1, "seed": 7})
 
     def test_huge_noise_checks_grid_fields(self):
         with pytest.raises(ConfigError):
@@ -271,6 +324,10 @@ class TestRunExperiment:
         assert sizes == [6, 4]
         assert capped.rows == serial.rows and capped.trial_rows == serial.trial_rows
         assert capped.manifest["jobs"] == 64
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="^jobs must be >= 1"):
+            run_experiment(small_intersect_spec(), jobs=0)
 
     def test_trial_seed_derivation(self):
         spec = small_intersect_spec()
@@ -473,6 +530,18 @@ TINY_SPECS = {
     "outliers": ({"m_values": [20], "n": 5}, ["m"]),
     "mnist": ({"n_values": [10]}, ["n"]),
 }
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY_SPECS))
+def test_manifest_spec_loads_again(scenario, tmp_path, write_idx):
+    raw = dict(TINY_SPECS[scenario][0], scenario=scenario, trials=1, seed=3)
+    if scenario == "mnist":
+        ds = synthetic_dataset(n_per_digit=30, digits=(2, 4, 8), seed=11)
+        raw["images"], raw["labels"] = str(tmp_path / "imgs.idx"), str(tmp_path / "labs.idx")
+        write_idx(ds, raw["images"], raw["labels"])
+    spec = load_spec(raw)
+    snapshot = json.loads(json.dumps(run_experiment(spec).manifest["spec"]))
+    assert load_spec(snapshot) == spec
 
 
 @pytest.mark.parametrize("scenario", sorted(TINY_SPECS))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsclust import geometry
-from tsclust.errors import FileFormatError, NonFinite, ZeroVector
+from tsclust.errors import FileFormatError, InvalidDims, LengthMismatch, NonFinite, ZeroVector
 from tsclust.geometry import PointSet, SubspaceBasis, abs_gram_rows, normalize_columns
 from tsclust.synth import haar_basis
 
@@ -132,6 +132,21 @@ class TestPointSetValidation:
         X[1, 2] = bad
         with pytest.raises(NonFinite):
             PointSet(X)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (3, 0), (0, 3)], ids=["one-dimensional", "no-points", "no-coordinates"]
+    )
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(InvalidDims, match="^point matrix must be 2-D and nonempty"):
+            PointSet(np.ones(shape))
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(LengthMismatch, match="^2 labels for 3 points"):
+            PointSet(np.ones((2, 3)), labels=[1, 2])
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="^labels must be nonnegative"):
+            PointSet(np.ones((2, 3)), labels=[1, -1, 2])
 
     def test_non_finite_csv_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

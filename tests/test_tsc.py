@@ -104,6 +104,10 @@ class TestSelectNeighbors:
         nb = select_neighbors(PointSet(X), 7, normalize=False)
         assert nb.corr[3].tolist() == [0.0] * 7
 
+    def test_q_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="^q must be >= 1"):
+            select_neighbors(PointSet(np.eye(3)), 0)
+
 
 class TestComputeWeights:
     def test_duplicate_points_weight_one(self):
@@ -138,6 +142,11 @@ class TestComputeWeights:
         ps = PointSet(np.eye(2))
         with pytest.raises(ConfigError):
             compute_weights(ps, select_neighbors(ps, 1), weight_variant="huber")
+
+    def test_neighbor_sets_of_other_points_rejected(self):
+        neighbors = select_neighbors(PointSet(np.eye(4)), 1)
+        with pytest.raises(ValueError, match="^4 neighbor sets for 3 points"):
+            compute_weights(PointSet(np.eye(3)), neighbors)
 
 
 class TestAssembleAdjacency:
@@ -480,6 +489,10 @@ class TestTscConfig:
     def test_rejects_bad_L(self):
         with pytest.raises(ConfigError):
             TscConfig(q=3, num_subspaces=0)
+
+    def test_rejects_bad_max_L(self):
+        with pytest.raises(ConfigError, match="^max_L must be >= 1"):
+            TscConfig(q=3, max_L=0)
 
     @pytest.mark.parametrize("field", ["kmeans_restarts", "kmeans_max_iter"])
     @pytest.mark.parametrize("value", [0, -2])
