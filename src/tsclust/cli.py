@@ -120,17 +120,20 @@ def _cmd_outliers(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = _env_seed(args.seed)
+    if args.t is not None and (args.L != 2 or args.shared):
+        raise ConfigError("--t builds two subspaces: it takes no --shared and no --L other than 2")
     if args.t is not None:
         bases = list(intersecting_pair(args.m, args.d, args.t, derive_seed(seed, 1)))
     else:
         ensemble = shared_intersection_ensemble if args.shared else haar_ensemble
         bases = ensemble(args.m, args.L, args.d, derive_seed(seed, 1))
-    inlier_scale = 1.0
     if args.inlier_scale == "auto":
-        if args.sigma2 > 0:
-            inlier_scale = 1.0 / math.sqrt(1.0 + args.sigma2)
+        inlier_scale = 1.0 / math.sqrt(1.0 + args.sigma2) if args.sigma2 > 0 else 1.0
     else:
-        inlier_scale = float(args.inlier_scale)
+        try:
+            inlier_scale = float(args.inlier_scale)
+        except ValueError:
+            raise ConfigError("--inlier-scale must be 'auto' or a number") from None
     gt = union_of_subspaces(
         bases,
         args.n,

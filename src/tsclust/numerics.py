@@ -39,8 +39,8 @@ LSTSQ_RCOND = 1e-10
 LANCZOS_MIN_NODES = 200
 LANCZOS_NODES_PER_VALUE = 6
 
-#: In a window of k values over ``count`` components, each component first
-#: solves for ``ceil(k / count)`` plus this many eigenpairs (see ``sym_eig``).
+#: In a window of k values, each component first solves for its node share of
+#: the window, at least an equal share, plus this many eigenpairs (``sym_eig``).
 LANCZOS_BUDGET_MARGIN = 2
 
 #: Seed of the Lanczos start vector.
@@ -79,15 +79,11 @@ def _lapack(routine, *args, **kwargs):
 
 @dataclass(frozen=True)
 class _Component:
-    """One connected component of a symmetric matrix.  ``nodes`` are its
-    global indices, ascending; ``columns`` the global position, among all
-    components' computed eigenvalues, of each value it computed, ascending
-    with them (positions at or past the window included); ``smallest(j)``
-    gives the eigenvectors of its j smallest eigenvalues (n x j), for
-    ``1 <= j <= columns.size``; ``None`` if it computed none."""
+    """One connected component of a symmetric matrix: ``nodes``, its global
+    indices, ascending, and ``smallest(j)``, the eigenvectors of its j smallest
+    computed eigenvalues (n x j, j >= 1), or ``None`` if it computed none."""
 
     nodes: np.ndarray
-    columns: np.ndarray
     smallest: Callable[[int], np.ndarray] | None
 
 
@@ -153,13 +149,14 @@ class SpectralDecomposition:
     them unless a window was asked for), with their eigenvectors computed on
     demand from each component's solve.
 
-    ``leading(k)`` holds the eigenvectors of ``eigenvalues[:k]``, column
-    ``i`` paired with ``eigenvalues[i]``; ``eigenvectors`` is
-    ``leading(eigenvalues.size)``.
+    ``owner[i]`` is the component of the i-th smallest value computed, window
+    and beyond, so ``owner.size`` is the number of eigenpairs computed.
+    ``leading(k)`` and ``eigenvectors`` pair column ``i`` with ``eigenvalues[i]``.
     """
 
     eigenvalues: np.ndarray
     components: tuple[_Component, ...]
+    owner: np.ndarray
     N: int
 
     def leading(self, k: int) -> np.ndarray:
@@ -171,10 +168,10 @@ class SpectralDecomposition:
         if not 0 <= k <= self.eigenvalues.size:
             raise ValueError(f"k={k} outside [0, {self.eigenvalues.size}]")
         V = np.zeros((self.N, k))
-        for block in self.components:
-            owned = int(np.count_nonzero(block.columns < k))
-            if owned:
-                V[np.ix_(block.nodes, block.columns[:owned])] = block.smallest(owned)
+        for c in np.unique(self.owner[:k]):
+            columns = np.flatnonzero(self.owner[:k] == c)
+            block = self.components[c]
+            V[np.ix_(block.nodes, columns)] = block.smallest(columns.size)
         return V
 
     @property
@@ -207,8 +204,8 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     symmetrized matrix is split into the connected components of its
     nonzero pattern (a block-diagonal matrix up to a permutation).  Of its
     ``count`` blocks, block c of ``n_c`` nodes first solves for a budget of
-    ``b_c = min(k, n_c, ceil(k / count) + LANCZOS_BUDGET_MARGIN)`` of its
-    smallest eigenvalues:
+    ``b_c = min(k, n_c, ceil(k * max(n_c / N, 1 / count)) +
+    LANCZOS_BUDGET_MARGIN)`` of its smallest eigenvalues:
 
     - a block with more than ``LANCZOS_MIN_NODES + LANCZOS_NODES_PER_VALUE * b_c``
       nodes gets them, with their eigenvectors, from ARPACK's implicitly
@@ -219,15 +216,16 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
       ``min(k, n_c)`` smallest eigenvalues whatever its budget; its
       eigenvectors come from that reduction on demand; ``k = 0`` reduces none.
 
-    Let theta be the k-th smallest of all values computed so far (+inf if
-    fewer than k were).  A block that computed fewer than ``min(k, n_c)``
-    values, none of them above theta, may own window values it has not
-    computed: it solves again with its budget doubled (at most k), until no
-    block is in that state.  A connected matrix is the one-block case, with
-    budget k.  Without ``k`` (or with ``k = N``) every block takes the dense
-    path, so the spectrum is complete.  The k smallest of the blocks'
-    eigenvalues come out ascending, ties in component order (components
-    numbered by their lowest index).
+    The budgets, each at least the block's node share, add up to at least k.
+    Let theta be the k-th smallest of all values computed so far.  A block
+    that computed fewer than ``min(k, n_c)`` values, none of them above
+    theta, may own window values it has not computed: it solves again with
+    its budget doubled (at most k), until no block is in that state.  A
+    connected matrix is the one-block case, with budget k.  Without ``k``
+    (or with ``k = N``) every budget is ``n_c``, the dense path, so the
+    spectrum is complete.  The k smallest of the blocks' eigenvalues come
+    out ascending, ties in component order (components numbered by their
+    lowest index).
 
     Raises
     ------
@@ -257,9 +255,10 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
     permuted = sym[nodes][:, nodes]
     spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     # Each block owns at most min(k, n_c) of the window and first solves for
-    # a share of it; a window of the whole spectrum holds every value.
-    owned = np.minimum(k, np.diff(bounds))
-    share = k if k == N else -(-k // count) + LANCZOS_BUDGET_MARGIN
+    # its node share of it, or an equal share if that is larger.
+    sizes = np.diff(bounds)
+    owned = np.minimum(k, sizes)
+    share = -(-k * np.maximum(count * sizes, N) // (count * N)) + LANCZOS_BUDGET_MARGIN
     budgets = np.minimum(owned, share)
     solves, values = [None] * count, np.empty(0)
     pending = np.arange(count)
@@ -270,7 +269,7 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
             solve = _lanczos(block, budget) if _uses_lanczos(hi - lo, budget) else None
             solves[c] = solve or _tridiagonal(block, int(owned[c]))
         values = np.concatenate([v for v, _ in solves])
-        theta = np.partition(values, k - 1)[k - 1] if 0 < k <= values.size else np.inf
+        theta = np.partition(values, k - 1)[k - 1] if k else np.inf
         # A block that stopped short of min(k, n_c) with no value above the
         # k-th smallest so far may own values it has not computed.
         pending = np.flatnonzero(
@@ -278,14 +277,11 @@ def sym_eig(A, k: int | None = None) -> SpectralDecomposition:
         )
         budgets[pending] = np.minimum(2 * budgets[pending], k)
     order = np.argsort(values, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    starts = np.cumsum([0] + [v.size for v, _ in solves])
+    owner = np.repeat(np.arange(count), [v.size for v, _ in solves])[order]
     components = tuple(
-        _Component(nodes[lo:hi], column[start:start + v.size], smallest)
-        for (lo, hi), start, (v, smallest) in zip(spans, starts, solves)
+        _Component(nodes[lo:hi], smallest) for (lo, hi), (_, smallest) in zip(spans, solves)
     )
-    return SpectralDecomposition(eigenvalues=values[order[:k]], components=components, N=N)
+    return SpectralDecomposition(values[order[:k]], components, owner, N)
 
 
 def _min_norm(B: np.ndarray, y: np.ndarray) -> np.ndarray:

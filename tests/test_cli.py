@@ -333,6 +333,9 @@ class TestGenCommand:
             (["--inlier-scale", "inf"], "inlier_scale must be finite and > 0"),
             (["--inlier-scale", "0"], "inlier_scale must be finite and > 0"),
             (["--inlier-scale", "-1"], "inlier_scale must be finite and > 0"),
+            (["--inlier-scale", "abc"], "--inlier-scale must be 'auto' or a number"),
+            (["--t", "1", "--L", "3"], "--t builds two subspaces: it takes no --shared"),
+            (["--t", "1", "--shared"], "--t builds two subspaces: it takes no --shared"),
         ],
     )
     def test_bad_noise_or_scale_exit_2(self, tmp_path, flags, message):

@@ -10,6 +10,7 @@ from tsclust.errors import ConfigError
 from tsclust.experiments import (
     ExperimentSpec,
     load_spec,
+    load_spec_file,
     run_experiment,
     trial_seed,
 )
@@ -277,6 +278,12 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec({"scenario": "huge-noise", "ensemble": "shared", "d": 5})
 
+
+    def test_invalid_json_file_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"scenario": "grid",')
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: invalid JSON")):
+            load_spec_file(path)
 
 class TestRunExperiment:
     def test_intersect_rows(self):

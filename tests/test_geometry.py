@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import sys
 import threading
 
@@ -125,6 +127,13 @@ class TestAbsGramRows:
         assert threading.active_count() == before
 
 
+    @pytest.mark.parametrize("cpu_count, usable", [(lambda: 3, 3), (lambda: None, 1)])
+    def test_usable_cpus_without_affinity_call(self, monkeypatch, cpu_count, usable):
+        # Platforms without sched_getaffinity fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        assert geometry._usable_cpus() == usable
+
 class TestPointSetValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -154,6 +163,17 @@ class TestPointSetValidation:
         with pytest.raises(NonFinite):
             PointSet.from_csv(path)
 
+
+
+class TestSubspaceBasisValidation:
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((3,), "basis must be 2-D"), ((2, 3), "need 1 <= d <= m"), ((3, 0), "need 1 <= d <= m")],
+        ids=["one-dimensional", "d-above-m", "no-columns"],
+    )
+    def test_bad_shape_rejected(self, shape, message):
+        with pytest.raises(InvalidDims, match="^" + re.escape(message)):
+            SubspaceBasis(np.ones(shape))
 
 class TestPrincipalAngles:
     """Principal-angle cosines of ``SubspaceBasis`` pairs cut from Haar

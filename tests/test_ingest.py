@@ -195,3 +195,19 @@ class TestRemoveTopComponents:
             residual = np.linalg.svd(remove_top_principal_components(M, 4), compute_uv=False)
             np.testing.assert_allclose(residual[0], np.linalg.svd(M, compute_uv=False)[-1])
             assert np.all(residual[1:] < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: subsample_digits(synthetic_dataset(), [2], 0, seed=0),
+         "n_per_digit must be >= 1"),
+        (lambda: singular_value_profile(np.ones(3)), "matrix must be 2-D and nonempty"),
+        (lambda: singular_value_profile(np.ones((0, 3))), "matrix must be 2-D and nonempty"),
+        (lambda: remove_top_principal_components(np.ones((3, 3)), -1), "k must be >= 0"),
+    ],
+    ids=["no-images-per-digit", "one-dimensional-profile", "empty-profile", "negative-k"],
+)
+def test_bad_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match="^" + message):
+        call()

@@ -164,3 +164,18 @@ class TestOutlierConfusion:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             outlier_confusion([True], [True, False])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: clustering_error([], []), LengthMismatch, "empty label vectors"),
+        (lambda: feature_detection_error(np.zeros((2, 3)), [1, 1]), ValueError,
+         "A must be square"),
+        (lambda: outlier_confusion([], []), LengthMismatch, "empty flag vectors"),
+    ],
+    ids=["empty-labels", "non-square-adjacency", "empty-flags"],
+)
+def test_bad_input_rejected(call, error, message):
+    with pytest.raises(error, match="^" + message):
+        call()

@@ -113,6 +113,11 @@ class TestSymEig:
             assert dec.eigenvectors.shape == (0, 0)
 
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=["rectangular", "one-dimensional"])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="^expected a square matrix"):
+            sym_eig(np.ones(shape))
+
 class TestLeastSquares:
     def test_orthonormal_columns_recover_coefficients(self):
         rng = np.random.default_rng(5)
@@ -147,6 +152,11 @@ class TestLeastSquares:
             delta *= 1e-3 / np.linalg.norm(delta)
             assert base <= np.linalg.norm(B @ (w + delta) - y) + 1e-12
 
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 0)], ids=["all-zero", "no-columns"])
+    def test_zero_block_gives_zeros(self, shape):
+        out = _min_norm(np.zeros(shape), np.ones(4))
+        np.testing.assert_array_equal(out, np.zeros(shape[1]))
 
 class TestKMeans:
     def test_well_separated_1d(self):
@@ -221,3 +231,7 @@ class TestKMeans:
         finally:
             tracemalloc.stop()
         assert peak < n * k * p * 8 / 16
+
+    def test_one_dimensional_rows_rejected(self):
+        with pytest.raises(ValueError, match="^rows must be 2-D"):
+            kmeans(np.arange(5.0), 2, seed=0)

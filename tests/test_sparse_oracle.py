@@ -440,7 +440,28 @@ def counted_eigsh(monkeypatch):
 
 
 def computed_pairs(dec):
-    return sum(block.columns.size for block in dec.components)
+    return dec.owner.size
+
+
+def first_round_values(M, k):
+    """The number of values the first round of sym_eig(M, k) computed: the
+    first solve of every component, Lanczos or dense."""
+    count = connected_components(M, directed=False)[0]
+    lanczos, tridiagonal, sizes = numerics._lanczos, numerics._tridiagonal, []
+
+    def counted(solve):
+        def counting(block, budget):
+            result = solve(block, budget)
+            if result is not None:
+                sizes.append(result[0].size)
+            return result
+        return counting
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_lanczos", counted(lanczos))
+        patch.setattr(numerics, "_tridiagonal", counted(tridiagonal))
+        sym_eig(M, k)
+    return sum(sizes[:count])
 
 
 def assert_window_of_blocks(M, k, lanczos=None):
@@ -493,22 +514,24 @@ def block_laplacian(blocks, rng):
 
 
 class TestWindowBudget:
-    """Each component first solves for ``ceil(k / count) + 2`` pairs; one that
-    may own window values it has not computed solves again with twice the
-    budget.  Every case is checked against the whole spectrum."""
+    """Component c of ``n_c`` nodes first solves for ``ceil(k * max(n_c / N,
+    1 / count)) + 2`` pairs, its node share of the window or an equal share,
+    whichever is larger; one that may own window values it has not computed
+    solves again with twice the budget.  Every case is checked against the
+    whole spectrum."""
 
     def test_tsc_clusters_resolve_the_largest(self, monkeypatch):
-        # The 2000-point cluster owns 17 of the 51 window values against a
-        # budget of 15, so it solves a second time, for 30.
+        # The 2000-point cluster owns 17 of the 51 window values; its node
+        # share, 25 + 2, covers them, so every cluster solves once.
         bases = haar_ensemble(200, 4, 5, seed=1)
         points = union_of_subspaces(bases, [2000, 700, 700, 700], seed=2).points
         config = TscConfig(q=15)
         calls = counted_eigsh(monkeypatch)
         result = run_tsc(points, config)
-        assert sorted(calls) == [15, 15, 15, 15, 30]
+        assert sorted(calls) == [15, 15, 15, 27]
         L_sym = normalized_laplacian(result.graph.A)
         dec, full = assert_window_of_blocks(L_sym, 51)
-        assert computed_pairs(dec) == 75
+        assert computed_pairs(dec) == 72
         np.testing.assert_allclose(
             result.laplacian_eigenvalues, full.eigenvalues[:51], rtol=0.0, atol=1e-12
         )
@@ -517,23 +540,73 @@ class TestWindowBudget:
         np.testing.assert_array_equal(result.labels, labels)
 
     def test_skewed_components_resolve_twice(self, monkeypatch):
-        # The ring owns 48 of the 51 values: budgets 15, then 30, then 51.
+        # The ring owns 48 of the 51 values: budgets 27, then 51.
         rng = np.random.default_rng(0)
         blocks = [ring_lattice(2000, 3)] + [random_component(700, rng) for _ in range(3)]
         M = block_laplacian(blocks, rng)
         calls = counted_eigsh(monkeypatch)
         dec, _ = assert_window_of_blocks(M, 51, lanczos=4)
-        assert sorted(calls) == [15, 15, 15, 15, 30, 51]
+        assert sorted(calls) == [15, 15, 15, 27, 51]
         assert computed_pairs(dec) == 51 + 3 * 15
 
     def test_budgets_short_of_the_window(self, monkeypatch):
-        # 28 + 1 values computed, fewer than 51: theta is +inf, and the large
-        # block solves again for the whole window.
+        # Equal shares, 28 + 1 values, would fall short of the 51-value
+        # window; the node shares never do.  Here the large block's share is
+        # the whole window, so one solve gives it.
         rng = np.random.default_rng(1)
         M = block_laplacian([random_component(1000, rng), sparse.csr_array((1, 1))], rng)
         calls = counted_eigsh(monkeypatch)
         dec, _ = assert_window_of_blocks(M, 51)
-        assert calls == [28, 51] and computed_pairs(dec) == 52
+        assert calls == [51] and computed_pairs(dec) == 52
+        assert first_round_values(M, 51) == 52
+
+    def test_large_block_with_many_small_ones_solves_once(self, monkeypatch):
+        # 20 blocks of 16 nodes next to 3000: an equal share would give the
+        # large block 3 + 2 values; its node share gives it 47 + 2.
+        rng = np.random.default_rng(2)
+        blocks = [random_component(3000, rng)] + [random_component(16, rng) for _ in range(20)]
+        M = block_laplacian(blocks, rng)
+        calls = counted_eigsh(monkeypatch)
+        dec, _ = assert_window_of_blocks(M, 51, lanczos=1)
+        assert calls == [49] and computed_pairs(dec) == 49 + 20 * 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_window_of_mixed_blocks(self, data):
+        """Ring lattices, random components, cliques and isolated nodes,
+        every block with more nodes than its budget solved by Lanczos, and a
+        window of any size: the window is the whole spectrum's, the first
+        round computes at least k values, and each column sits on the nodes
+        of its owner."""
+        block = st.one_of(
+            st.tuples(st.just("ring"), st.integers(5, 60), st.integers(1, 2)),
+            st.tuples(st.just("random"), st.integers(3, 60)),
+            st.tuples(st.just("clique"), st.integers(2, 12)),
+            st.just(("isolated",)),
+        )
+        kinds = data.draw(st.lists(block, min_size=1, max_size=6), label="blocks")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        blocks = []
+        for kind, *shape in kinds:
+            if kind == "ring":
+                blocks.append(ring_lattice(*shape))
+            elif kind == "random":
+                blocks.append(random_component(shape[0], rng))
+            elif kind == "clique":
+                blocks.append(sparse.csr_array(np.ones(shape * 2) - np.eye(shape[0])))
+            else:
+                blocks.append(sparse.csr_array((1, 1)))
+        M = block_laplacian(blocks, rng)
+        k = data.draw(st.integers(0, M.shape[0]), label="k")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "LANCZOS_MIN_NODES", 0)
+            patch.setattr(numerics, "LANCZOS_NODES_PER_VALUE", 1)
+            dec, _ = assert_window_of_blocks(M, k)
+            assert first_round_values(M, k) >= k
+        V = dec.leading(k)
+        for i, c in enumerate(dec.owner[:k]):
+            outside = np.delete(V[:, i], dec.components[c].nodes)
+            assert np.count_nonzero(outside) == 0
 
     @pytest.mark.parametrize("k, eigsh_calls", [(0, []), (1, [1])])
     def test_smallest_windows(self, monkeypatch, k, eigsh_calls):
@@ -594,14 +667,15 @@ class TestRunTscWindowOracle:
     @pytest.mark.parametrize("variant", ["exp", "ls"])
     def test_budgets_resolve_the_largest_cluster(self, monkeypatch, variant):
         # Clusters of 200, 70, 70 and 70 points: the largest owns more of the
-        # 51 window values than its budget of 15 and solves again.
+        # 51 window values than an equal share of 15, and its node share,
+        # 25 + 2, covers them in one solve.
         forced_lanczos(monkeypatch)
         calls = counted_eigsh(monkeypatch)
         bases = haar_ensemble(200, 4, 5, seed=1)
         points = union_of_subspaces(bases, [200, 70, 70, 70], seed=2).points
         self._check(points, TscConfig(q=15, weight_variant=variant, seed=1), lanczos=4)
         # The same calls in run_tsc and in _check's own window solve.
-        assert sorted(calls[:5]) == [15, 15, 15, 15, 30] and calls == 2 * calls[:5]
+        assert sorted(calls[:4]) == [15, 15, 15, 27] and calls == 2 * calls[:4]
 
     @pytest.mark.parametrize("variant", ["exp", "ls"])
     def test_above_the_crossover(self, variant):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,3 +309,33 @@ class TestRotationalInvariance:
         b = select_neighbors(PointSet(QX), 5).index
         for sa, sb in zip(a, b):
             assert sa.tolist() == sb.tolist()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: shared_intersection_ensemble(9, 0, 3, seed=0), InvalidDims, "need L >= 1"),
+        (lambda: shared_intersection_ensemble(5, 2, 6, seed=0), InvalidDims, "need d <= m"),
+        (lambda: orthogonal_ensemble(10, 0, 2, seed=0), InvalidDims, "need L, d >= 1"),
+        (lambda: orthogonal_ensemble(10, 2, 0, seed=0), InvalidDims, "need L, d >= 1"),
+        (lambda: corrupt(np.ones(4), 0.0, 0, seed=0), InvalidDims, "points must be 2-D"),
+        (lambda: sample_outliers(0, 3, "sphere", seed=0), InvalidDims,
+         "need m >= 1 and count >= 0"),
+        (lambda: sample_outliers(4, -1, "sphere", seed=0), InvalidDims,
+         "need m >= 1 and count >= 0"),
+        (lambda: union_of_subspaces([], 5, seed=0), InvalidDims, "need at least one basis"),
+        (lambda: union_of_subspaces([haar_basis(6, 2, seed=0)] * 2, [5], seed=0), InvalidDims,
+         "1 point counts for 2 bases"),
+        (lambda: inner_product_abs_cdf(1, 0.5), InvalidDims, "need d >= 2"),
+        (lambda: inner_product_abs_cdf(3, 1.5), ValueError, "z must lie in [0, 1]"),
+    ],
+    ids=[
+        "shared-no-subspace", "shared-d-above-m", "orthogonal-no-subspace",
+        "orthogonal-zero-d", "corrupt-one-dimensional", "outliers-zero-m",
+        "outliers-negative-count", "union-no-basis", "union-count-mismatch",
+        "cdf-d-below-2", "cdf-z-above-1",
+    ],
+)
+def test_bad_arguments_rejected(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

@@ -463,6 +463,15 @@ class TestBadInput:
                 np.testing.assert_allclose(Z, Z_expected, rtol=1e-13, atol=0.0)
 
 
+    @pytest.mark.parametrize(
+        "stage, message",
+        [(assemble_adjacency, "Z must be square"), (normalized_laplacian, "A must be square")],
+        ids=["adjacency", "laplacian"],
+    )
+    def test_non_square_matrix_rejected(self, stage, message):
+        with pytest.raises(ValueError, match="^" + message):
+            stage(np.zeros((2, 3)))
+
 class TestDefaultQ:
     def test_paper_rule(self):
         assert default_q(200, True) == 10

@@ -11,7 +11,9 @@
 # with its own code, not the package's.  Experiment manifests are compared with
 # their wall-clock `trial_seconds` removed.  When outputs differ, a summary
 # follows the diff: for each differing `*.result.json` whether `labels` and
-# `L_hat` are equal, for each differing CSV the largest absolute and relative
+# `L_hat` are equal, the length of `laplacian_eigenvalues` on both sides and
+# the largest absolute difference between the values they share by position,
+# for each differing CSV the largest absolute and relative
 # difference between its numeric cells, for each differing `*.trials.csv` how
 # many trials changed `ce`, `el` or `outlier_err` by more than 1e-12, and for
 # each differing `*.outliers.csv` whether its `is_outlier` column is equal.  Exits 0 when
@@ -165,7 +167,13 @@ for new in sorted(p for p in new_dir.rglob("*") if p.is_file()):
     if new.name.endswith(".result.json"):
         a, b = (json.loads(p.read_text()) for p in (old, new))
         same = {key: "equal" if a.get(key) == b.get(key) else "DIFFER" for key in ("labels", "L_hat")}
-        print(f"{name}: labels {same['labels']}, L_hat {same['L_hat']}")
+        x, y = (doc.get("laplacian_eigenvalues", []) for doc in (a, b))
+        largest = max((abs(u - v) for u, v in zip(x, y)), default=0.0)
+        print(
+            f"{name}: labels {same['labels']}, L_hat {same['L_hat']}, "
+            f"laplacian_eigenvalues {len(x)} -> {len(y)} values, largest absolute "
+            f"difference {largest:.3g} over the first {min(len(x), len(y))}"
+        )
     elif new.suffix == ".csv":
         a, b = cells(old), cells(new)
         if [len(row) for row in a] != [len(row) for row in b]:
