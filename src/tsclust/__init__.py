@@ -55,10 +55,7 @@ from .synth import (
     GroundTruth,
     corrupt,
     haar_basis,
-    inner_product_abs_cdf,
-    inner_product_abs_pdf,
     intersecting_pair,
-    orthogonal_ensemble,
     sample_outliers,
     sample_subspace_points,
     shared_intersection_ensemble,

@@ -135,10 +135,11 @@ def load_spec(raw: dict) -> ExperimentSpec:
     ConfigError
         On unknown keys, unknown scenarios, a field its annotation does not
         admit (``"3"`` or ``true`` for an integer, ``[5.7]`` for a list of
-        integers), a field outside the scenario's defaults that is not at
-        its unset value, ``null`` for a non-sweep field whose default is not
-        null, a null or empty sweep axis, a count below 1, ``d > m``, or a
-        cell the scenario cannot run (infeasible dimensions, a bad ``c``).
+        integers), ``null`` for a non-sweep field whose default is not null,
+        a field the scenario does not read away from its unset value (its
+        default for ``intersect``'s ``L`` and ``outliers``' ``L_known``), a
+        null or empty sweep axis, a count below 1, ``d > m``, or a cell the
+        scenario cannot run (infeasible dimensions, a bad ``c``).
     """
     if not isinstance(raw, dict):
         raise ConfigError("experiment spec must be a JSON object")
@@ -153,15 +154,16 @@ def load_spec(raw: dict) -> ExperimentSpec:
     merged = dict(record.defaults)
     merged.update({k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
     spec = ExperimentSpec(**merged)
-    unset = ExperimentSpec(scenario)
-    for name in raw:
-        read = name in ("scenario", "seed", "trials", *record.defaults)
-        if not read and getattr(spec, name) != getattr(unset, name):
-            raise ConfigError(f"{name} has no effect in scenario {scenario!r}")
     sweeps = {field for _, field, _ in record.axes}
     for name, default in record.defaults.items():
         if default is not None and name not in sweeps and getattr(spec, name) is None:
             raise ConfigError(f"{name} must not be null in scenario {scenario!r}")
+    unset = ExperimentSpec(scenario)
+    pinned = {"intersect": "L", "outliers": "L_known"}.get(scenario)  # recorded, never read
+    for name in raw:
+        read = name in ("scenario", "seed", "trials", *record.defaults) and name != pinned
+        if not read and getattr(spec, name) != record.defaults.get(name, getattr(unset, name)):
+            raise ConfigError(f"{name} has no effect in scenario {scenario!r}")
     if spec.scenario == "intersect" and "t_values" not in raw:
         spec = replace(spec, t_values=tuple(range(max(spec.d, 0) + 1)))
     _validate(spec)
@@ -333,13 +335,13 @@ class Scenario:
 
     ``defaults`` hold every field that ``trial`` and ``check`` read, except
     ``seed`` and ``trials``, at its value when unset (and two they do not,
-    ``intersect``'s ``L`` and ``outliers``' ``L_known``, which manifests
-    record).  No field whose default is not null may be null, sweeps aside,
-    and every other field must keep its unset value in
-    :class:`ExperimentSpec`.  ``axes`` are the sweeps as ``(CSV column,
-    spec field, type)``, the first outermost.  A CSV row holds the axis
-    values, the spec fields in ``copied`` and the ``summary`` of the cell's
-    trial records as ``(CSV column, "mean" or "std", record key)``.
+    ``intersect``'s ``L`` and ``outliers``' ``L_known``, which manifests record
+    and which must keep their defaults).  No field whose default is not null
+    may be null, sweeps aside, and every other field must keep its unset value
+    in :class:`ExperimentSpec`.  ``axes`` are the sweeps as ``(CSV column, spec
+    field, type)``, the first outermost.  A CSV row holds the axis values, the
+    spec fields in ``copied`` and the ``summary`` of the cell's trial records
+    as ``(CSV column, "mean" or "std", record key)``.
     ``trial(spec, cell, seed)`` and ``check(spec, cell)`` get the spec with
     the cell filled in.  They reach the library through module globals,
     which a tracer may swap.

@@ -1,8 +1,6 @@
 """Seeded synthetic data generators: Haar-random subspace bases, points
 uniform on subspace spheres, controlled-intersection constructions, additive
-noise and erasures, random outliers, and the analytic density and
-closed-form CDF of absolute inner products between uniform sphere points
-(used as a sampling oracle).
+noise and erasures, and random outliers.
 
 Every generator is a deterministic function of its parameters and seed.
 """
@@ -13,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import InvalidDims
 from .geometry import PointSet, SubspaceBasis
@@ -145,23 +142,6 @@ def haar_ensemble(m: int, L: int, d: int, seed: int) -> list[SubspaceBasis]:
     """``L`` independent Haar ``d``-dimensional subspaces of ``R^m``, basis
     ``l`` drawn by :func:`haar_basis` from the sub-stream ``derive_seed(seed, l)``."""
     return [haar_basis(m, d, derive_seed(seed, l)) for l in range(L)]
-
-
-def orthogonal_ensemble(m: int, L: int, d: int, seed: int) -> list[SubspaceBasis]:
-    """``L`` mutually orthogonal ``d``-dimensional subspaces (one Haar
-    ``L*d``-frame split into blocks).
-
-    Raises
-    ------
-    InvalidDims
-        Unless ``L * d <= m``.
-    """
-    if L < 1 or d < 1:
-        raise InvalidDims(f"need L, d >= 1, got L={L}, d={d}")
-    if L * d > m:
-        raise InvalidDims(f"need L*d <= m, got {L}*{d} > {m}")
-    frame = haar_basis(m, L * d, seed).basis
-    return [SubspaceBasis(frame[:, i * d:(i + 1) * d]) for i in range(L)]
 
 
 def corrupt(
@@ -302,46 +282,3 @@ def union_of_subspaces(
         params=dict(params or {}, seed=int(seed)),
     )
 
-
-def _abs_pdf_log_const(d: int) -> float:
-    # 2/sqrt(pi) * Gamma(d/2) / Gamma((d-1)/2), in log space for stability.
-    return float(np.log(2.0) - 0.5 * np.log(np.pi) + gammaln(d / 2.0) - gammaln((d - 1) / 2.0))
-
-
-def inner_product_abs_pdf(d: int, z):
-    """Density of ``|<a, b>|`` for independent uniform points on the unit
-    sphere of ``R^d``:  ``(2/sqrt(pi)) * Gamma(d/2)/Gamma((d-1)/2) *
-    (1 - z^2)^((d-3)/2)`` on ``[0, 1]``.
-
-    For ``d = 2`` the density diverges (integrably) at ``z = 1``.
-
-    Raises
-    ------
-    InvalidDims
-        If ``d < 2``.
-    ValueError
-        If any ``z`` lies outside ``[0, 1]``.
-    """
-    if d < 2:
-        raise InvalidDims(f"need d >= 2, got {d}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
-        raise ValueError("z must lie in [0, 1]")
-    const = np.exp(_abs_pdf_log_const(d))
-    with np.errstate(divide="ignore"):
-        out = const * (1.0 - z * z) ** ((d - 3) / 2.0)
-    return out if out.ndim else float(out)
-
-
-def inner_product_abs_cdf(d: int, z: float) -> float:
-    """CDF companion of :func:`inner_product_abs_pdf` in closed form.
-
-    ``|<a, b>|^2`` is Beta(1/2, (d-1)/2), so ``P(|<a, b>| <= z)`` is the
-    regularized incomplete beta function at ``z^2``.
-    """
-    if d < 2:
-        raise InvalidDims(f"need d >= 2, got {d}")
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
-    return float(betainc(0.5, (d - 1) / 2.0, z * z))

@@ -304,13 +304,17 @@ def estimate_L_eigengap(eigenvalues: np.ndarray, max_L: int | None = None) -> tu
 
     Raises
     ------
+    ConfigError
+        Unless ``max_L`` is None or an integer >= 1.
     TooFewPoints
         If fewer than two eigenvalues are supplied.
     """
+    if max_L is not None and not (isinstance(max_L, (int, np.integer)) and max_L >= 1):
+        raise ConfigError(f"max_L must be None or an integer >= 1, got {max_L!r}")
     ev = np.asarray(eigenvalues, dtype=float).ravel()
     if ev.size < 2:
         raise TooFewPoints(f"need >= 2 eigenvalues, got {ev.size}")
-    hi = max(1, min(ev.size - 1, DEFAULT_MAX_L if max_L is None else int(max_L)))
+    hi = min(ev.size - 1, DEFAULT_MAX_L if max_L is None else max_L)
     gaps = np.diff(ev[: hi + 1])
     i = int(np.argmax(gaps)) + 1  # argmax returns the first maximum
     return i, i

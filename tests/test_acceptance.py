@@ -37,9 +37,6 @@ from tsclust.metrics import clustering_error, feature_detection_error
 from tsclust.numerics import sym_eig
 from tsclust.synth import (
     haar_basis,
-    inner_product_abs_cdf,
-    inner_product_abs_pdf,
-    orthogonal_ensemble,
     sample_subspace_points,
     union_of_subspaces,
 )
@@ -50,6 +47,8 @@ from tsclust.tsc import (
     normalized_laplacian,
     run_tsc,
 )
+
+from references import inner_product_abs_cdf, inner_product_abs_pdf, orthogonal_ensemble
 
 # --- pinned tolerances -----------------------------------------------------
 ORTHO_RUNTIME_S = 5.0
@@ -319,11 +318,13 @@ def test_criterion_09_cli_determinism(tmp_path):
 _SCALE_SCRIPT = """
 import time
 import numpy as np
-from tsclust.synth import orthogonal_ensemble, union_of_subspaces
+from tsclust.geometry import SubspaceBasis
+from tsclust.synth import haar_basis, union_of_subspaces
 from tsclust.tsc import TscConfig, run_tsc
 from tsclust.metrics import clustering_error
 
-bases = orthogonal_ensemble(200, 5, 5, seed=3)
+frame = haar_basis(200, 25, seed=3).basis
+bases = [SubspaceBasis(frame[:, i:i + 5]) for i in range(0, 25, 5)]
 gt = union_of_subspaces(bases, 300, seed=4)
 start = time.perf_counter()
 result = run_tsc(gt.points, TscConfig(q=15, num_subspaces=5, seed=0))

@@ -241,11 +241,13 @@ class TestLoadSpec:
             ("intersect", "s", 2),
             ("intersect", "ensemble", "shared"),
             ("intersect", "noise_first", False),
+            ("intersect", "L", 5),
             ("outliers", "q", 10**6),
             ("outliers", "L", 3),
             ("outliers", "variant", "ls"),
             ("outliers", "max_L", 4),
             ("outliers", "s", 1),
+            ("outliers", "L_known", False),
             ("grid", "d", 7),
             ("grid", "n", 30),
             ("grid", "c", 1.5),

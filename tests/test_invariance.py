@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from tsclust.geometry import PointSet
 from tsclust.metrics import clustering_error
-from tsclust.synth import haar_basis, orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_basis, union_of_subspaces
 from tsclust.tsc import TscConfig, run_tsc
+
+from references import orthogonal_ensemble
 
 N_PER = 30
 L = 3

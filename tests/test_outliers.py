@@ -12,7 +12,9 @@ from tsclust.errors import ConfigError, NonFinite, TooFewPoints
 from tsclust.geometry import PointSet
 from tsclust.metrics import outlier_confusion
 from tsclust.outliers import NOISELESS_C, NOISY_C, _max_abs_inner_products, detect_outliers
-from tsclust.synth import haar_ensemble, orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_ensemble, union_of_subspaces
+
+from references import orthogonal_ensemble
 
 
 def dense_scores(X):

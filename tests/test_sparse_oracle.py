@@ -23,7 +23,7 @@ from tsclust import geometry, numerics, tsc
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
 from tsclust.numerics import _min_norm, kmeans, sym_eig
-from tsclust.synth import haar_ensemble, intersecting_pair, orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import haar_ensemble, intersecting_pair, union_of_subspaces
 from tsclust.tsc import (
     TscConfig,
     assemble_adjacency,
@@ -33,6 +33,8 @@ from tsclust.tsc import (
     run_tsc,
     select_neighbors,
 )
+
+from references import orthogonal_ensemble
 
 #: Eigenvalues closer than this are one eigenspace in the projector check.
 CLUSTER_TOL = 1e-8

@@ -9,7 +9,7 @@ from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints, Zero
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
 from tsclust.numerics import sym_eig
-from tsclust.synth import orthogonal_ensemble, union_of_subspaces
+from tsclust.synth import union_of_subspaces
 from tsclust.tsc import (
     TscConfig,
     assemble_adjacency,
@@ -20,6 +20,8 @@ from tsclust.tsc import (
     run_tsc,
     select_neighbors,
 )
+
+from references import orthogonal_ensemble
 
 
 def three_block_adjacency(sizes=(5, 7, 6), seed=0):
@@ -240,6 +242,12 @@ class TestEstimateEigengap:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             estimate_L_eigengap(np.array([0.0]))
+
+    @pytest.mark.parametrize("max_L", [0, -3, 2.7, 2.0, "3"])
+    def test_bad_max_L_rejected(self, max_L):
+        ev = np.array([0.0, 0.0, 0.0, 0.9, 1.0, 1.1])
+        with pytest.raises(ConfigError, match=r"^max_L must be None or an integer >= 1"):
+            estimate_L_eigengap(ev, max_L)
 
 
 class TestSpectralCluster:
