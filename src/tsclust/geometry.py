@@ -3,9 +3,11 @@
 Points are stored column-wise: an ``m x N`` matrix holds ``N`` points in
 ``R^m``.  :func:`normalize_columns` is the one place that normalizes points.
 The one float64 blocked |X^T X| kernel, :func:`abs_gram_rows`, runs its
-blocks on one thread per usable CPU, with the same bits on any count; it
-serves neighbor selection, whose picks carry the ``exp`` weights'
-correlations, and the outlier scores that the float32 screen cannot prove.
+blocks on one thread per usable CPU, with the same bits on any count; a
+block runs in two pieces of at most 144 rows, so two threads hold about
+one block between them.  It serves neighbor
+selection, whose picks carry the ``exp`` weights' correlations, and the
+outlier scores that the float32 screen cannot prove.
 Its thread runner, :func:`_run_chunks`, is the package's only one: the
 outlier screen runs its float32 strips on it too.
 Every CSV the package writes goes through :func:`write_csv`.
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import FileFormatError, InvalidDims, LengthMismatch, NonFinite, ZeroVector
 
 #: Points per block of the |X^T X| kernel; a block holds this many rows of N
-#: inner products, so memory stays at O(N * block) instead of O(N^2).
+#: inner products, so memory stays at O(N * block) per thread instead of
+#: O(N^2) (a block runs in two pieces of at most 144 rows).
 CORRELATION_BLOCK = 256
 
 
@@ -66,7 +69,8 @@ class PointSet:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidDims(f"point matrix must be 2-D and nonempty, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        # max and min carry any NaN and reach any inf, with no m x N temporary.
+        if not (np.isfinite(data.max()) and np.isfinite(data.min())):
             raise NonFinite("point matrix contains NaN or Inf")
         object.__setattr__(self, "data", data)
         if self.labels is not None:
@@ -171,10 +175,9 @@ def _usable_cpus() -> int:
 
 
 def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
-    """``[reduce(chunk, C) for each chunk]`` over chunks of
-    ``CORRELATION_BLOCK`` of ``rows``, in chunk order, where row ``b`` of
-    ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for every point i and ``-inf`` for
-    ``i = chunk[b]``.
+    """``[reduce(chunk, C) for each chunk]`` over the chunks of ``rows``, in
+    chunk order, where row ``b`` of ``C`` holds ``|<x_{chunk[b]}, x_i>|`` for
+    every point i and ``-inf`` for ``i = chunk[b]``.
 
     ``rows`` is a ``range``, whose chunks are column slices of X, or an index
     array, whose columns are gathered one chunk at a time.  The two round
@@ -183,14 +186,20 @@ def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
     pass through without a warning; callers check for them.
 
     The chunks run on :func:`_run_chunks`, one thread per usable CPU, at
-    most one per chunk.  Each thread multiplies every chunk it claims,
-    whole, into its own ``CORRELATION_BLOCK x N`` block, so memory stays at
-    O(N * block) per thread and every product has the bits ``Y^T @ X``
-    gives, on any thread count.  ``C`` is that block: ``reduce`` may
-    overwrite it and must copy what it keeps; it runs under the kernel's
-    numpy error state.  Empty ``rows`` starts no thread.
+    most one per chunk.  Rows that fit one ``CORRELATION_BLOCK`` make one
+    chunk and start no thread.  More rows make chunks of at most 144 rows,
+    each ``CORRELATION_BLOCK`` cut in two by :func:`_cut`, the same on any
+    CPU count, so the bits do not depend on it (with one BLAS thread: a
+    threaded BLAS splits each product by its own thread count).  Each thread multiplies
+    every chunk it claims, whole, into its own float64 block of the tallest
+    chunk's height: memory stays at O(N * 144) per thread, and two threads
+    hold about one ``CORRELATION_BLOCK x N`` block, as the outlier screen's
+    do.  ``C`` is that block: ``reduce`` may overwrite it and must copy
+    what it keeps; it runs under the kernel's numpy error state.
     """
     chunks = [rows[at:at + CORRELATION_BLOCK] for at in range(0, len(rows), CORRELATION_BLOCK)]
+    if len(chunks) > 1:
+        chunks = [piece for chunk in chunks for piece in _cut(chunk, X.size)]
     if not chunks:
         return []
 
@@ -204,8 +213,25 @@ def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
             return reduce(chunk, C)
 
     workers = min(_usable_cpus(), len(chunks))
-    blocks = [np.empty((len(chunks[0]), X.shape[1])) for _ in range(workers)]
+    height = max(len(chunk) for chunk in chunks)
+    blocks = [np.empty((height, X.shape[1])) for _ in range(workers)]
     return _run_chunks(len(chunks), blocks, product)
+
+
+def _cut(chunk, size: int) -> list:
+    """A chunk of :func:`abs_gram_rows` over an X of ``size`` entries, in
+    pieces of at most 144 rows.
+
+    The cut falls at a multiple of 48 rows, and no piece has fewer than 48
+    rows or makes fewer than 2^20 multiply-adds.  On the OpenBLAS build
+    measured, the pieces then give the bits of the whole chunk (see
+    CHANGES.md).
+    """
+    panel = 48
+    if len(chunk) <= 3 * panel or panel * size < 2**20:
+        return [chunk]
+    at = 3 * panel if len(chunk) >= 4 * panel else 2 * panel
+    return [chunk[:at], chunk[at:]]
 
 
 def _run_chunks(count: int, buffers: list, task) -> list:
@@ -249,16 +275,22 @@ def _run_chunks(count: int, buffers: list, task) -> list:
 def normalize_columns(points: PointSet) -> PointSet:
     """Scale every column to unit Euclidean norm, preserving labels.
 
+    Memory: the output and O(N).  The output first holds the squares
+    whose column sums give the norms, then the scaled points.
+
     Raises
     ------
     ZeroVector
         If any column is exactly zero.
     """
-    # Each column times the power of two that puts its largest entry in
+    # Each column times the power of two that puts its largest |entry| in
     # [0.5, 1) (exactly), so no norm overflows or underflows.
-    data = np.ldexp(points.data, -np.frexp(np.abs(points.data).max(axis=0))[1])
-    norms = np.linalg.norm(data, axis=0)
+    X = points.data
+    scale = -np.frexp(np.maximum(X.max(axis=0), -X.min(axis=0)))[1]
+    data = np.ldexp(X, scale, out=np.empty_like(X))
+    norms = np.sqrt(np.add.reduce(np.square(data, out=data), axis=0))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]))
+    np.ldexp(X, scale, out=data)
     return PointSet(np.divide(data, norms, out=data), points.labels)

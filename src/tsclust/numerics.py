@@ -91,8 +91,9 @@ def _tridiagonal(block: sparse.csr_array, k: int):
     """The k smallest eigenvalues of a block by dense reduction, and its
     ``smallest``: ``dsytrd`` (lower) reduces the block once to ``T = Q^T M Q``
     (diagonal ``d``, off-diagonal ``e``, ``Q`` as Householder reflectors with
-    scales ``tau``); ``smallest(j)`` solves ``T`` for j vectors (``stemr``)
-    and applies ``Q`` (``dormqr``).  k = 0 factorizes nothing: no ``smallest``."""
+    scales ``tau``); ``smallest(j)`` solves ``T`` for j vectors (``stemr``,
+    for all n of them if it fails by index) and applies ``Q`` (``dormqr``).
+    k = 0 factorizes nothing: no ``smallest``."""
     n = block.shape[0]
     if k == 0:
         return np.empty(0), None
@@ -108,10 +109,16 @@ def _tridiagonal(block: sparse.csr_array, k: int):
         if n == 1:
             return np.ones((1, 1))
         # stemr is about twice as fast for the whole spectrum ("a") as by index.
-        _, V = eigh_tridiagonal(
-            d, e, select="a" if j == n else "i",
-            select_range=(0, j - 1), lapack_driver="stemr",
-        )
+        try:
+            _, V = eigh_tridiagonal(
+                d, e, select="a" if j == n else "i",
+                select_range=(0, j - 1), lapack_driver="stemr",
+            )
+        except np.linalg.LinAlgError:
+            # By index, stemr can fail to converge on repeated eigenvalues
+            # (a 20-node cycle, j = 11: LAPACK info=22); the whole spectrum
+            # does not, and its first j vectors are the ones asked for.
+            V = eigh_tridiagonal(d, e, lapack_driver="stemr")[1][:, :j]
         # Q V, as LAPACK's dormtr does it for UPLO='L': the reflectors act on
         # rows 1..n-1 only.
         a = c[1:, :-1]
@@ -362,7 +369,10 @@ def kmeans(
 
     Each restart ``r`` draws from the sub-stream ``derive_seed(seed, r)``;
     the restart with the lowest inertia wins, ties resolved by lowest
-    restart index.  Deterministic for fixed inputs.
+    restart index.  Deterministic for fixed inputs.  A restart with zero
+    inertia ends the loop: no later restart can beat it.  That happens when
+    some restart makes every cluster's rows coincide, as the rows of a
+    spectral embedding do when the graph has exactly k components.
 
     Raises
     ------
@@ -391,5 +401,7 @@ def kmeans(
                 inertia=inertia,
                 iterations=iters,
             )
+        if best.inertia == 0.0:
+            break
     assert best is not None
     return best

@@ -183,8 +183,10 @@ def _screen(X: np.ndarray, e: int, G: int):
     ``CORRELATION_BLOCK`` points.  A strip holds ``CORRELATION_BLOCK /
     threads`` points, rounded down to a multiple of ``G``, so the threads'
     float32 buffers together hold one ``CORRELATION_BLOCK x N`` strip, as
-    one thread's does.  The candidates are folded here in strip order, so
-    the result is the serial screen's, bit for bit, on any thread count,
+    one thread's does (the float64 kernel's threads hold about one block
+    between them too, see :func:`~tsclust.geometry.abs_gram_rows`).  The
+    candidates are folded here in strip order, so the result is the serial
+    screen's, bit for bit, on any thread count,
     as long as BLAS gives each float32 product the same bits in strips of
     any height (tests check that it does).
     """

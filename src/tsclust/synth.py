@@ -217,9 +217,8 @@ def sample_outliers(m: int, count: int, mode: str, seed: int) -> np.ndarray:
         return np.empty((m, 0))
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, count))
-    if mode == "sphere":
-        return g / np.linalg.norm(g, axis=0)
-    return g / np.sqrt(m)
+    g /= np.linalg.norm(g, axis=0) if mode == "sphere" else np.sqrt(m)
+    return g
 
 
 def union_of_subspaces(
@@ -243,10 +242,15 @@ def union_of_subspaces(
     ``1/sqrt(1 + sigma2)`` for the variance-rescaled noisy-outlier scenario.
     Outlier columns are never noise-corrupted or erased.
 
+    Each block of points is written into the one ``m x N`` matrix the data
+    set keeps; only noise or erasures (:func:`corrupt`) make a copy of the
+    inliers, and only erasures build the per-point erased-index lists.
+
     Raises
     ------
     InvalidDims
-        Unless ``inlier_scale`` is finite and ``> 0``; see also :func:`corrupt`.
+        Unless every basis has the first one's ``m`` and ``inlier_scale`` is
+        finite and ``> 0``; see also :func:`corrupt`.
     """
     L = len(bases)
     if L < 1:
@@ -255,30 +259,35 @@ def union_of_subspaces(
     if len(counts) != L:
         raise InvalidDims(f"{len(counts)} point counts for {L} bases")
     m = bases[0].m
-    blocks = [
-        sample_subspace_points(U, cnt, derive_seed(seed, l))
-        for l, (U, cnt) in enumerate(zip(bases, counts))
-    ]
-    clean = np.hstack(blocks)
-    labels = np.repeat(np.arange(1, L + 1), counts)
+    for U in bases:
+        if U.m != m:
+            raise InvalidDims(f"every basis needs m={m}, got m={U.m}")
+    # A count below 1 fails in its sampler, a negative n_outliers in its own.
+    inliers = sum(max(cnt, 0) for cnt in counts)
+    data = np.empty((m, inliers + max(n_outliers, 0)))
+    at = 0
+    for l, (U, cnt) in enumerate(zip(bases, counts)):
+        data[:, at:at + cnt] = sample_subspace_points(U, cnt, derive_seed(seed, l))
+        at += cnt
 
-    inliers, erased = corrupt(clean, sigma2, erasures, derive_seed(seed, L + 1), noise_first)
+    erased = None
+    if sigma2 != 0.0 or erasures != 0:
+        data[:, :inliers], erased = corrupt(
+            data[:, :inliers], sigma2, erasures, derive_seed(seed, L + 1), noise_first
+        )
     # Checked after sigma2, from which the CLI derives its default scale.
     if not (np.isfinite(inlier_scale) and inlier_scale > 0):
         raise InvalidDims(f"inlier_scale must be finite and > 0, got {inlier_scale}")
     if inlier_scale != 1.0:
-        inliers = inliers * inlier_scale
+        data[:, :inliers] *= inlier_scale
 
-    outliers = sample_outliers(m, n_outliers, outlier_mode, derive_seed(seed, L))
-    data = np.hstack([inliers, outliers]) if n_outliers else inliers
-    if n_outliers:
-        labels = np.concatenate([labels, np.zeros(n_outliers, dtype=int)])
-        erased = erased + [np.empty(0, dtype=int) for _ in range(n_outliers)]
-    mask = labels == 0
+    data[:, inliers:] = sample_outliers(m, n_outliers, outlier_mode, derive_seed(seed, L))
+    labels = np.repeat([*range(1, L + 1), 0], [*counts, n_outliers])
+    if erasures > 0:
+        erased += [np.empty(0, dtype=int) for _ in range(n_outliers)]
     return GroundTruth(
         points=PointSet(data, labels),
-        outlier_mask=mask,
+        outlier_mask=labels == 0,
         erased_sets=erased if erasures > 0 else None,
         params=dict(params or {}, seed=int(seed)),
     )
-

@@ -48,7 +48,9 @@ class TscConfig:
     computed spectrum.  ``correlation_normalize`` divides the columns by
     their norms before the inner products, so unnormalized inputs behave as
     if unit-normalized; disable to rank raw absolute inner products as they
-    are (the ``exp`` weights read those above 1 as 1).
+    are (the ``exp`` weights read those above 1 as 1).  The counts ``q``,
+    ``num_subspaces``, ``max_L``, ``kmeans_restarts`` and ``kmeans_max_iter``
+    must be integers >= 1 (not bools); any other value raises ``ConfigError``.
     """
 
     q: int
@@ -61,20 +63,16 @@ class TscConfig:
     correlation_normalize: bool = True
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
+        for name in ("q", "num_subspaces", "max_L", "kmeans_restarts", "kmeans_max_iter"):
+            value = getattr(self, name)
+            if value is None and name in ("num_subspaces", "max_L"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.weight_variant not in WEIGHT_VARIANTS:
             raise ConfigError(
                 f"weight_variant must be one of {WEIGHT_VARIANTS}, got {self.weight_variant!r}"
             )
-        if self.num_subspaces is not None and self.num_subspaces < 1:
-            raise ConfigError(f"num_subspaces must be >= 1, got {self.num_subspaces}")
-        if self.max_L is not None and self.max_L < 1:
-            raise ConfigError(f"max_L must be >= 1, got {self.max_L}")
-        if self.kmeans_restarts < 1:
-            raise ConfigError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
-        if self.kmeans_max_iter < 1:
-            raise ConfigError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +343,9 @@ def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
     the normalized Laplacian, one solve for the window of its
     ``min(N, max(max_L + 1, L))`` smallest eigenvalues, cluster-count
     estimation (when not given), and spectral clustering, all reading the
-    points normalized once (with ``correlation_normalize``).
+    points normalized once (with ``correlation_normalize``).  That copy is
+    dropped once the weights are built, so the later stages hold only the
+    graph and the caller's points.
 
     Raises
     ------
@@ -362,6 +362,7 @@ def run_tsc(points: PointSet, config: TscConfig) -> ClusterResult:
     pts = normalize_columns(points) if config.correlation_normalize else points
     neighbors = select_neighbors(pts, config.q, normalize=False)
     Z = compute_weights(pts, neighbors, config.weight_variant)
+    del pts  # the normalized copy is not read again
     graph = assemble_adjacency(Z, neighbors)
     L_sym = normalized_laplacian(graph.A)
     decomposition = sym_eig(L_sym, min(N, max(max_L + 1, L or 0)))

@@ -7,8 +7,10 @@ whatever numpy or scipy makes of it.
 import numpy as np
 from scipy.special import betainc, gammaln
 
+from tsclust import numerics
 from tsclust.geometry import SubspaceBasis
-from tsclust.synth import haar_basis
+from tsclust.numerics import derive_seed
+from tsclust.synth import corrupt, haar_basis, sample_subspace_points
 
 
 def orthogonal_ensemble(m, L, d, seed):
@@ -31,3 +33,34 @@ def inner_product_abs_cdf(d, z):
     """``P(|<a, b>| <= z)`` in closed form: ``|<a, b>|^2`` is
     Beta(1/2, (d-1)/2), so this is the regularized incomplete beta at ``z^2``."""
     return float(betainc(0.5, (d - 1) / 2.0, z * z))
+
+
+def union_of_subspaces_hstack(bases, n, seed, sigma2=0.0, erasures=0, n_outliers=0,
+                              outlier_mode="sphere", inlier_scale=1.0, noise_first=True):
+    """The data, labels and erased sets of ``synth.union_of_subspaces``, built
+    as separate blocks stacked side by side: the clean inliers, the corrupted
+    copy, the scaled copy and the outliers, drawn from the same sub-streams."""
+    L, m = len(bases), bases[0].m
+    counts = [int(n)] * L if np.isscalar(n) else [int(v) for v in n]
+    clean = np.hstack([sample_subspace_points(U, count, derive_seed(seed, l))
+                       for l, (U, count) in enumerate(zip(bases, counts))])
+    inliers, erased = corrupt(clean, sigma2, erasures, derive_seed(seed, L + 1), noise_first)
+    inliers = inliers * inlier_scale
+    g = np.random.default_rng(derive_seed(seed, L)).standard_normal((m, n_outliers))
+    outliers = g / (np.linalg.norm(g, axis=0) if outlier_mode == "sphere" else np.sqrt(m))
+    labels = np.concatenate([np.repeat(np.arange(1, L + 1), counts), np.zeros(n_outliers, int)])
+    erased = erased + [np.empty(0, dtype=int)] * n_outliers if erasures else None
+    return np.hstack([inliers, outliers]), labels, erased
+
+
+def kmeans_every_restart(rows, k, seed, restarts=10, max_iter=100):
+    """``numerics.kmeans`` run through all its restarts: ``(labels, centroids,
+    inertia, iterations)`` of the first restart with the lowest inertia."""
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(derive_seed(seed, r))
+        centroids = numerics._kmeans_pp_init(rows, k, rng)
+        labels, centroids, inertia, iterations = numerics._lloyd(rows, centroids, max_iter)
+        if best is None or inertia < best[2]:
+            best = (labels + 1, centroids, inertia, iterations)
+    return best

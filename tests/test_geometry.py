@@ -1,8 +1,10 @@
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,38 @@ class TestNormalizeColumns:
         np.testing.assert_array_equal(out[:, others], plain[:, others])
         np.testing.assert_allclose(out, plain, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) < 1e-15
+
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(200, 300), (20, 1), (1, 5), (3, 2)])
+    def test_bits_of_scaled_columns_over_their_norms(self, layout, shape):
+        # The largest |entry| from max and -min, the squares summed in the
+        # output: numpy's abs and norm give the same bits, in any layout.
+        rng = np.random.default_rng(shape[0])
+        X = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape[1])
+        if layout == "F":
+            X = np.asfortranarray(X)
+        elif layout == "strided":
+            X = np.repeat(X, 2, axis=0)[::2]
+        data = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
+        expected = data / np.linalg.norm(data, axis=0)
+        got = normalize_columns(PointSet(X)).data
+        assert got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_the_output(self):
+        # The output holds the squares, then the scaled points; the column
+        # maxima and norms are O(N).  An |X| and the squares as arrays of
+        # their own would make it 12.3 MiB, twice the 6.1 MiB output.
+        X = np.random.default_rng(5).standard_normal((200, 4000))
+        points = PointSet(X)
+        tracemalloc.start()
+        try:
+            normalize_columns(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes + 64 * X.shape[1]
 
 
 class TestAbsGramRows:
@@ -126,6 +160,50 @@ class TestAbsGramRows:
         assert exc.value is raised[0]
         assert threading.active_count() == before
 
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_blocks_cut_in_pieces_on_any_worker_count(self, monkeypatch, cpus):
+        # 401 rows: a 256-row block cut after 144 rows, and a 145-row block
+        # cut after 96, so that no piece has fewer than 48 rows.
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: cpus)
+        X = np.random.default_rng(12).standard_normal((60, 401))
+
+        def heights(X, rows):
+            return [len(chunk) for chunk in abs_gram_rows(X, rows, lambda chunk, C: chunk)]
+
+        assert heights(X, range(401)) == [144, 112, 96, 49]
+        # One block is one chunk; a 48-row piece of fewer than 2^20
+        # multiply-adds cuts no block.
+        assert heights(X, range(256)) == [256]
+        assert heights(X[:2], range(401)) == [256, 145]
+
+    def test_pieces_give_the_bits_of_whole_blocks(self):
+        # Sizes whose last panels are partial in both directions; at m = 8
+        # a 48-row piece makes just over 2^20 multiply-adds, and at m = 5,
+        # N = 1500 (not cut) OpenBLAS's small-matrix kernels would change
+        # the bits of pieces.  One BLAS thread, in a fresh interpreter: a
+        # threaded BLAS splits whole blocks and pieces differently.
+        script = """
+import numpy as np
+from tsclust import geometry
+cuts = (geometry._cut, lambda chunk, size: [chunk])
+for m, N in [(60, 401), (8, 2731), (200, 1169), (5, 1500)]:
+    rng = np.random.default_rng(N)
+    X = rng.standard_normal((m, N))
+    for rows in (range(N), rng.permutation(N)):
+        products = []
+        for cut in cuts:
+            geometry._cut = cut
+            chunks = geometry.abs_gram_rows(X, rows, lambda _, C: [row.tobytes() for row in C])
+            products.append([row for chunk in chunks for row in chunk])
+        assert products[0] == products[1], (m, N)
+"""
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("cpu_count, usable", [(lambda: 3, 3), (lambda: None, 1)])
     def test_usable_cpus_without_affinity_call(self, monkeypatch, cpu_count, usable):

@@ -3,8 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tsclust import numerics
 from tsclust.errors import InvalidK, NonFinite
 from tsclust.numerics import _kmeans_pp_init, _lloyd, _min_norm, derive_seed, kmeans, sym_eig
+
+from references import kmeans_every_restart
 
 
 def tensor_lloyd(rows, centroids, max_iter):
@@ -231,6 +234,30 @@ class TestKMeans:
         finally:
             tracemalloc.stop()
         assert peak < n * k * p * 8 / 16
+
+    @pytest.mark.parametrize("noise, restarts_run", [(0.0, 1), (0.05, 10)],
+                             ids=["zero-inertia", "positive-inertia"])
+    def test_stops_at_a_restart_with_zero_inertia(self, monkeypatch, noise, restarts_run):
+        # The rows of a spectral embedding of a graph with exactly k
+        # components: one unit vector per cluster.  The first restart's
+        # clusters coincide, so no later one can beat its zero inertia.
+        rng = np.random.default_rng(13)
+        rows = np.repeat(np.eye(4), 30, axis=0)[rng.permutation(120)]
+        rows += noise * rng.standard_normal(rows.shape)
+        labels, centroids, inertia, iterations = kmeans_every_restart(rows, 4, seed=7)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _kmeans_pp_init(*args)
+
+        monkeypatch.setattr(numerics, "_kmeans_pp_init", counted)
+        result = kmeans(rows, 4, seed=7)
+        assert len(calls) == restarts_run
+        assert (inertia == 0.0) == (noise == 0.0)
+        np.testing.assert_array_equal(result.labels, labels)
+        np.testing.assert_array_equal(result.centroids, centroids)
+        assert (result.inertia, result.iterations) == (inertia, iterations)
 
     def test_one_dimensional_rows_rejected(self):
         with pytest.raises(ValueError, match="^rows must be 2-D"):

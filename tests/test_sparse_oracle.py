@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -515,6 +515,23 @@ def block_laplacian(blocks, rng):
     return normalized_laplacian(A[perm][:, perm])
 
 
+@st.composite
+def mixed_blocks(draw):
+    """Up to six blocks (ring lattices, random components, cliques and
+    isolated nodes), a seed for the random components and the shuffle, and
+    a window size up to the node count."""
+    block = st.one_of(
+        st.tuples(st.just("ring"), st.integers(5, 60), st.integers(1, 2)),
+        st.tuples(st.just("random"), st.integers(3, 60)),
+        st.tuples(st.just("clique"), st.integers(2, 12)),
+        st.just(("isolated",)),
+    )
+    kinds = draw(st.lists(block, min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    nodes = sum(kind[1] if len(kind) > 1 else 1 for kind in kinds)
+    return kinds, seed, draw(st.integers(0, nodes))
+
+
 class TestWindowBudget:
     """Component c of ``n_c`` nodes first solves for ``ceil(k * max(n_c / N,
     1 / count)) + 2`` pairs, its node share of the window or an equal share,
@@ -573,21 +590,18 @@ class TestWindowBudget:
         assert calls == [49] and computed_pairs(dec) == 49 + 20 * 16
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_property_window_of_mixed_blocks(self, data):
+    @given(case=mixed_blocks())
+    # A draw that made stemr fail by index on its 20-node cycle.
+    @example(case=([("ring", 20, 1), ("random", 31), ("ring", 39, 1), ("clique", 12)],
+                   7442347, 65))
+    def test_property_window_of_mixed_blocks(self, case):
         """Ring lattices, random components, cliques and isolated nodes,
         every block with more nodes than its budget solved by Lanczos, and a
         window of any size: the window is the whole spectrum's, the first
         round computes at least k values, and each column sits on the nodes
         of its owner."""
-        block = st.one_of(
-            st.tuples(st.just("ring"), st.integers(5, 60), st.integers(1, 2)),
-            st.tuples(st.just("random"), st.integers(3, 60)),
-            st.tuples(st.just("clique"), st.integers(2, 12)),
-            st.just(("isolated",)),
-        )
-        kinds = data.draw(st.lists(block, min_size=1, max_size=6), label="blocks")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kinds, seed, k = case
+        rng = np.random.default_rng(seed)
         blocks = []
         for kind, *shape in kinds:
             if kind == "ring":
@@ -599,7 +613,6 @@ class TestWindowBudget:
             else:
                 blocks.append(sparse.csr_array((1, 1)))
         M = block_laplacian(blocks, rng)
-        k = data.draw(st.integers(0, M.shape[0]), label="k")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "LANCZOS_MIN_NODES", 0)
             patch.setattr(numerics, "LANCZOS_NODES_PER_VALUE", 1)
@@ -609,6 +622,17 @@ class TestWindowBudget:
         for i, c in enumerate(dec.owner[:k]):
             outside = np.delete(V[:, i], dec.components[c].nodes)
             assert np.count_nonzero(outside) == 0
+
+    def test_failed_index_solve_takes_the_whole_spectrum(self):
+        # The 20-node cycle of the example above, in the order its nodes had
+        # there: stemr fails by index for its 11 smallest vectors (LAPACK
+        # info=22), and the whole spectrum gives them.
+        order = [6, 14, 15, 7, 18, 9, 8, 1, 2, 11, 4, 10, 13, 3, 12, 0, 5, 16, 17, 19]
+        block = normalized_laplacian(ring_lattice(20, 1))[order][:, order]
+        values, smallest = numerics._tridiagonal(block, 20)
+        V = smallest(11)
+        assert np.max(np.abs(V.T @ V - np.eye(11))) < 1e-12
+        assert np.max(np.abs(block @ V - V * values[:11])) < 1e-12
 
     @pytest.mark.parametrize("k, eigsh_calls", [(0, []), (1, [1])])
     def test_smallest_windows(self, monkeypatch, k, eigsh_calls):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tsclust.errors import InvalidDims
 from tsclust.synth import (
     corrupt,
     haar_basis,
+    haar_ensemble,
     intersecting_pair,
     sample_outliers,
     sample_subspace_points,
@@ -18,7 +20,12 @@ from tsclust.synth import (
 )
 from tsclust.tsc import select_neighbors
 
-from references import inner_product_abs_cdf, inner_product_abs_pdf, orthogonal_ensemble
+from references import (
+    inner_product_abs_cdf,
+    inner_product_abs_pdf,
+    orthogonal_ensemble,
+    union_of_subspaces_hstack,
+)
 
 
 def cosines(U, V):
@@ -232,6 +239,53 @@ class TestUnionOfSubspaces:
         with pytest.raises(InvalidDims, match="inlier_scale must be finite and > 0"):
             union_of_subspaces(bases, 10, seed=19, inlier_scale=scale)
 
+    @pytest.mark.parametrize("n", [12, [5, 9, 14]], ids=["one-count", "per-basis"])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"sigma2": 0.3},
+            {"erasures": 3},
+            {"sigma2": 0.2, "erasures": 2, "noise_first": False},
+            {"inlier_scale": 0.7},
+            {"n_outliers": 25},
+            {"n_outliers": 1, "erasures": 1},
+            {"sigma2": 0.1, "inlier_scale": 1 / math.sqrt(1.1), "n_outliers": 25,
+             "outlier_mode": "gaussian"},
+        ],
+        ids=["plain", "noise", "erasures", "erase-then-noise", "scaled", "sphere-outliers",
+             "one-outlier-erasures", "gaussian-outliers"],
+    )
+    def test_matches_stacked_blocks(self, n, options):
+        bases = haar_ensemble(16, 3, 4, seed=30)
+        gt = union_of_subspaces(bases, n, seed=31, **options)
+        data, labels, erased = union_of_subspaces_hstack(bases, n, 31, **options)
+        assert gt.points.data.shape == data.shape
+        assert gt.points.data.tobytes() == data.tobytes()
+        np.testing.assert_array_equal(gt.points.labels, labels)
+        np.testing.assert_array_equal(gt.outlier_mask, labels == 0)
+        if erased is None:
+            assert gt.erased_sets is None
+        else:
+            assert len(gt.erased_sets) == len(erased)
+            for got, want in zip(gt.erased_sets, erased):
+                np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_at_m_200(self):
+        # The outliers cell at m = 200: 4000 points on 80 subspaces and 4000
+        # sphere outliers, 12.2 MiB.  The data are written once; the outlier
+        # draw and its squares (for the norms) add 6.1 MiB each, 24.5 MiB in
+        # all.  Stacking separate blocks would hold the inliers three times
+        # over, 33.1 MiB.
+        bases = haar_ensemble(200, 80, 5, seed=32)
+        tracemalloc.start()
+        try:
+            gt = union_of_subspaces(bases, 50, seed=33, n_outliers=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * gt.points.data.nbytes + 2**20
+
     def test_save_round_trip(self, tmp_path):
         import json
 
@@ -317,11 +371,21 @@ class TestRotationalInvariance:
         (lambda: union_of_subspaces([], 5, seed=0), InvalidDims, "need at least one basis"),
         (lambda: union_of_subspaces([haar_basis(6, 2, seed=0)] * 2, [5], seed=0), InvalidDims,
          "1 point counts for 2 bases"),
+        (lambda: union_of_subspaces([haar_basis(6, 2, seed=0)] * 2, [-3, 5], seed=0),
+         InvalidDims, "need n >= 1, got -3"),
+        (lambda: union_of_subspaces([haar_basis(6, 2, seed=0)] * 2, [5, 0], seed=0),
+         InvalidDims, "need n >= 1, got 0"),
+        (lambda: union_of_subspaces([haar_basis(6, 2, seed=0)], 5, seed=0, n_outliers=-2),
+         InvalidDims, "need m >= 1 and count >= 0, got m=6, count=-2"),
+        (lambda: union_of_subspaces([haar_basis(6, 2, seed=0), haar_basis(1, 1, seed=0)], 5,
+                                    seed=0),
+         InvalidDims, "every basis needs m=6, got m=1"),
     ],
     ids=[
         "shared-no-subspace", "shared-d-above-m", "corrupt-one-dimensional",
         "outliers-zero-m", "outliers-negative-count", "union-no-basis",
-        "union-count-mismatch",
+        "union-count-mismatch", "union-negative-count", "union-zero-count",
+        "union-negative-outliers", "union-ambient-mismatch",
     ],
 )
 def test_bad_arguments_rejected(call, error, message):

@@ -9,7 +9,7 @@ from tsclust.errors import ConfigError, NonFinite, QTooLarge, TooFewPoints, Zero
 from tsclust.geometry import PointSet, normalize_columns
 from tsclust.metrics import clustering_error
 from tsclust.numerics import sym_eig
-from tsclust.synth import union_of_subspaces
+from tsclust.synth import haar_ensemble, union_of_subspaces
 from tsclust.tsc import (
     TscConfig,
     assemble_adjacency,
@@ -71,19 +71,37 @@ class TestSelectNeighbors:
             assert j not in idx
 
     def test_peak_memory_on_two_workers(self, monkeypatch):
-        # One 256 x 4000 float64 block per worker (7.8 MiB each) and the
-        # partition's index array over 16 rows at a time; an index array over
-        # each whole block would add 7.8 MiB per worker.
+        # Each worker holds one 144 x 4000 float64 piece of a 256-row block
+        # (4.4 MiB), and the picks, 16 bytes each, exist twice, per block and
+        # joined (1.8 MiB): 10.7 MiB in all.  A whole 256-row block per worker
+        # would make it 17.5 MiB.  One worker peaks at 5.8 MiB, eight at 37.1
+        # (9.2 and 65.4 with whole blocks).
         monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
-        X = np.random.default_rng(11).standard_normal((200, 4000))
+        N, q = 4000, 15
+        X = np.random.default_rng(11).standard_normal((200, N))
         points = normalize_columns(PointSet(X))
         tracemalloc.start()
         try:
-            select_neighbors(points, 15, normalize=False)
+            select_neighbors(points, q, normalize=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 2 * 144 * N * 8 + 2 * N * q * 16 + 2**20
+
+    @pytest.mark.parametrize("N", [777, 1500, 2049])
+    def test_same_picks_on_any_worker_count(self, monkeypatch, N):
+        # The benchmark's shape, m = 200 and Haar d = 5, at sizes whose last
+        # block is 9, 220 and 1 rows: every worker count multiplies the same
+        # pieces, and every bit agrees.
+        counts = [N // 5] * 4 + [N - 4 * (N // 5)]
+        points = union_of_subspaces(haar_ensemble(200, 5, 5, seed=5), counts, seed=6).points
+        picks = {}
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(geometry, "_usable_cpus", lambda: workers)
+            picks[workers] = select_neighbors(points, 15)
+        for workers in (2, 3, 8):
+            np.testing.assert_array_equal(picks[workers].index, picks[1].index)
+            assert picks[workers].corr.tobytes() == picks[1].corr.tobytes()
 
     def test_unnormalized_input_matches_normalized(self):
         rng = np.random.default_rng(7)
@@ -508,8 +526,20 @@ class TestTscConfig:
             TscConfig(q=3, num_subspaces=0)
 
     def test_rejects_bad_max_L(self):
-        with pytest.raises(ConfigError, match="^max_L must be >= 1"):
+        with pytest.raises(ConfigError, match="^max_L must be an integer >= 1"):
             TscConfig(q=3, max_L=0)
+
+    @pytest.mark.parametrize("field", ["q", "num_subspaces", "max_L", "kmeans_restarts",
+                                       "kmeans_max_iter"])
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", np.float64(3.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        # A float would reach sym_eig's partition as a TypeError; True would run as 1.
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1, got "):
+            TscConfig(**{"q": 3, field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = TscConfig(q=np.int64(3), num_subspaces=np.int32(2), max_L=np.int64(4))
+        assert config.q == 3 and config.num_subspaces == 2 and config.max_L == 4
 
     @pytest.mark.parametrize("field", ["kmeans_restarts", "kmeans_max_iter"])
     @pytest.mark.parametrize("value", [0, -2])
