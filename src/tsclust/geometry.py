@@ -193,9 +193,9 @@ def abs_gram_rows(X: np.ndarray, rows, reduce) -> list:
     threaded BLAS splits each product by its own thread count).  Each thread multiplies
     every chunk it claims, whole, into its own float64 block of the tallest
     chunk's height: memory stays at O(N * 144) per thread, and two threads
-    hold about one ``CORRELATION_BLOCK x N`` block, as the outlier screen's
-    do.  ``C`` is that block: ``reduce`` may overwrite it and must copy
-    what it keeps; it runs under the kernel's numpy error state.
+    hold about one ``CORRELATION_BLOCK x N`` block.  ``C`` is that block:
+    ``reduce`` may overwrite it and must copy what it keeps; it runs under
+    the kernel's numpy error state.
     """
     chunks = [rows[at:at + CORRELATION_BLOCK] for at in range(0, len(rows), CORRELATION_BLOCK)]
     if len(chunks) > 1:

@@ -11,7 +11,9 @@ can hold the maximum (:func:`_max_abs_inner_products`); points the screen
 cannot prove take their whole row from the package's one float64 |X^T X|
 kernel, :func:`~tsclust.geometry.abs_gram_rows`.  The screen's strips and
 the kernel's blocks both run on every usable CPU, through one thread runner
-(:func:`~tsclust.geometry._run_chunks`).
+(:func:`~tsclust.geometry._run_chunks`); the screen multiplies each strip
+in fixed-width column tiles, so its threads hold about one tile of
+products between them at any N.
 The CLI and the experiment harness both read a user's ``c`` through
 :func:`threshold_constant`.
 """
@@ -181,16 +183,16 @@ def _screen(X: np.ndarray, e: int, G: int):
     :func:`~tsclust.geometry._run_chunks`: one thread per usable CPU, but no
     more than ``CORRELATION_BLOCK / G`` nor than there are strips of
     ``CORRELATION_BLOCK`` points.  A strip holds ``CORRELATION_BLOCK /
-    threads`` points, rounded down to a multiple of ``G``, so the threads'
-    float32 buffers together hold one ``CORRELATION_BLOCK x N`` strip, as
-    one thread's does (the float64 kernel's threads hold about one block
-    between them too, see :func:`~tsclust.geometry.abs_gram_rows`).  The
-    candidates are folded here in strip order, so the result is the serial
-    screen's, bit for bit, on any thread count,
-    as long as BLAS gives each float32 product the same bits in strips of
-    any height (tests check that it does).
+    threads`` points, rounded down to a multiple of ``G``, and is multiplied
+    in the column tiles of :func:`_tiles`, so the threads' float32 buffers
+    together hold about one ``CORRELATION_BLOCK x 8 CORRELATION_BLOCK`` tile
+    (2 MiB) at any N, as one thread's does (a short last tile joins the one
+    before).  The candidates are folded here in strip order, so the result
+    is the serial screen's, bit for bit, on any thread count, as long as
+    BLAS gives each float32 product the same bits in strips of any height
+    and in tiles (tests check that it does).
     """
-    N = X.shape[1]
+    m, N = X.shape
     Y = np.empty(X.shape, np.float32)
     np.multiply(X, 2.0**-e, out=Y, casting="same_kind")
     norms = np.sqrt(np.einsum("ij,ij->j", Y, Y, dtype=float))
@@ -198,9 +200,12 @@ def _screen(X: np.ndarray, e: int, G: int):
     workers = min(geometry._usable_cpus(), block // G, -(-N // block))
     height = block // workers // G * G
     starts = range(0, N, height)
-    buffers = [np.empty(height * N, np.float32) for _ in range(workers)]
+    tiles = [_tiles(start, N, m * min(height, N - start)) for start in starts]
+    width = max(c1 - c0 for strip in tiles for c0, c1 in strip)
+    buffers = [np.empty(height * width, np.float32) for _ in range(workers)]
     candidates = geometry._run_chunks(
-        len(starts), buffers, lambda i, buffer: _strip(Y, starts[i], height, G, buffer)
+        len(starts), buffers,
+        lambda i, buffer: _strip(Y, starts[i], height, G, tiles[i], buffer),
     )
     best = np.full(N, -np.inf, np.float32)
     second = best.copy()
@@ -215,38 +220,77 @@ def _screen(X: np.ndarray, e: int, G: int):
     return best, group, second, norms
 
 
-def _strip(Y: np.ndarray, start: int, height: int, G: int, buffer: np.ndarray):
+def _tiles(start: int, N: int, work: int) -> list:
+    """The column tiles ``[(c0, c1), ...]`` of the screen's strip that
+    starts at point ``start``, for ``work`` multiply-adds per column.
+
+    Tiles are ``8 * CORRELATION_BLOCK`` columns wide, a multiple of the
+    screen's group size, so no group spans two tiles and the first holds
+    the strip's diagonal block.  A last tile of fewer than 2^20
+    multiply-adds joins the one before, as :func:`~tsclust.geometry._cut`
+    rules for the float64 kernel: OpenBLAS multiplies a product of a few
+    columns with its small-matrix kernels, which round differently (a
+    one-column tail changed the bits at m = 50, N = 4097).
+    """
+    width = 8 * geometry.CORRELATION_BLOCK
+    edges = [*range(start, N, width), N]
+    if len(edges) > 2 and (N - edges[-2]) * work < 2**20:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _strip(Y: np.ndarray, start: int, height: int, G: int, tiles: list, buffer: np.ndarray):
     """The screen's candidates from the strip of ``|Y^T Y|`` with rows
-    ``start:start + height`` and columns ``start:``, multiplied into
-    ``buffer``.
+    ``start:start + height`` and columns ``start:``, multiplied one column
+    tile of ``tiles`` at a time into ``buffer``.
 
     Its rows give the strip's own points their best product, the group
-    that holds it and the best product outside that group.  Its columns
-    right of the diagonal block give the later points the same over the
-    strip's groups of G points, each group numbered within the strip
-    (``None`` for the last strip).  So each product is computed once;
-    ``G`` divides ``height``, so no group spans two strips.
+    that holds it and the best product outside that group, each tile's
+    merged by :func:`_fold` in tile order.  Its columns right of the
+    diagonal block give the later points the same over the strip's groups
+    of G points, each group numbered within the strip (``None`` for the
+    last strip), joined across tiles.  So each product is computed once;
+    ``G`` divides ``height`` and every tile's width, so no group spans two
+    strips or two tiles.
     """
-    N = Y.shape[1]
-    stop = min(start + height, N)
+    stop = min(start + height, Y.shape[1])
     b = stop - start
-    C = np.matmul(Y[:, start:stop].T, Y[:, start:], out=buffer[:b * (N - start)].reshape(b, -1))
-    np.abs(C, out=C)
-    np.fill_diagonal(C, -np.inf)
-    later = None
-    if stop < N:
-        M = C[:, b:].reshape(b // G, G, N - stop).max(axis=1)
-        g = M.argmax(axis=0)[None]
-        top = np.take_along_axis(M, g, 0)[0]
-        np.put_along_axis(M, g, -np.inf, 0)
-        # The group within the strip in the smallest type, since every
-        # strip's later points are held until the fold.
-        later = top, g[0].astype(np.min_scalar_type(b // G)), M.max(axis=0)
-    k = C.argmax(axis=1)[:, None]
-    top = np.take_along_axis(C, k, 1)[:, 0]
-    cols = np.minimum(k // G * G + np.arange(G), N - start - 1)
-    np.put_along_axis(C, cols, -np.inf, 1)
-    return later, (top, (start + k[:, 0]) // G, C.max(axis=1))
+    rows = np.arange(b)
+    own, later = None, []
+    for c0, c1 in tiles:
+        C = np.matmul(Y[:, start:stop].T, Y[:, c0:c1], out=buffer[:b * (c1 - c0)].reshape(b, -1))
+        np.abs(C, out=C)
+        if c0 == start:
+            np.fill_diagonal(C, -np.inf)
+        if c1 > stop:
+            M = C[:, max(stop - c0, 0):].reshape(b // G, G, -1).max(axis=1)
+            top = M.max(axis=0)
+            # The first group that holds each best, numbered within the
+            # strip in the smallest type, since every strip's later points
+            # are held until the fold.
+            g = np.zeros(M.shape[1], np.min_scalar_type(b // G))
+            for j in reversed(range(b // G)):
+                g[M[j] == top] = j
+            M[g, np.arange(M.shape[1])] = -np.inf
+            later.append((top, g, M.max(axis=0)))
+        k = C.argmax(axis=1)
+        top = C[rows, k]
+        # -inf over the group of each row's best: a whole group as one
+        # G-wide slice of a (b, groups, G) view, a tile's partial last group
+        # as the columns past its whole groups.
+        g = k // G
+        full = (c1 - c0) // G * G
+        inside = g < full // G
+        C[:, :full].reshape(b, full // G, G)[rows[inside], g[inside]] = -np.inf
+        C[~inside, full:] = -np.inf
+        candidate = top, c0 // G + g, C.max(axis=1)
+        if own is None:
+            own = candidate
+        else:
+            _fold(*own, *candidate)
+    if later:
+        later = tuple(np.concatenate(parts) for parts in zip(*later))
+    return later or None, own
 
 
 def _fold(best, group, second, top, top_group, rest) -> None:

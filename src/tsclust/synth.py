@@ -165,6 +165,14 @@ def corrupt(
     InvalidDims
         Unless ``sigma2`` is finite and ``>= 0``, and ``0 <= s < m``.
     """
+    out, erased = _corrupt(points, sigma2, s, seed, noise_first)
+    if erased is None:
+        erased = [np.empty(0, dtype=int) for _ in range(out.shape[1])]
+    return out, erased
+
+
+def _corrupt(points, sigma2: float, s: int, seed: int, noise_first: bool):
+    """:func:`corrupt`, with ``None`` for the erased sets when ``s = 0``."""
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise InvalidDims(f"points must be 2-D, got shape {X.shape}")
@@ -181,9 +189,9 @@ def corrupt(
         return M + rng.standard_normal((m, N)) * np.sqrt(sigma2 / m)
 
     def erase(M):
-        sets = []
         if s == 0:
-            return M, [np.empty(0, dtype=int) for _ in range(N)]
+            return M, None
+        sets = []
         M = M.copy()
         for j in range(N):
             idx = np.sort(rng.choice(m, size=s, replace=False))
@@ -204,21 +212,48 @@ def sample_outliers(m: int, count: int, mode: str, seed: int) -> np.ndarray:
     ``mode="gaussian"`` draws i.i.d. N(0, 1/m) coordinates (squared norm
     concentrating around 1).  ``count = 0`` yields an ``m x 0`` matrix.
 
+    The ``m x count`` result is drawn in place (:func:`_draw_outliers`):
+    the only other memory is O(count).
+
     Raises
     ------
     InvalidDims
         If ``m < 1``, ``count < 0``, or the mode is unknown.
     """
+    _check_outliers(m, count, mode)
+    return _draw_outliers(np.empty((m, count)), mode, seed)
+
+
+def _check_outliers(m: int, count: int, mode: str) -> None:
     if m < 1 or count < 0:
         raise InvalidDims(f"need m >= 1 and count >= 0, got m={m}, count={count}")
     if mode not in OUTLIER_MODES:
         raise InvalidDims(f"mode must be one of {OUTLIER_MODES}, got {mode!r}")
-    if count == 0:
-        return np.empty((m, 0))
+
+
+def _draw_outliers(out: np.ndarray, mode: str, seed: int) -> np.ndarray:
+    """Fill ``out`` (``m x count``, each row contiguous) with the outliers of
+    :func:`sample_outliers`, in place, and return it.
+
+    The rows are drawn one at a time, in the stream order of one
+    ``(m, count)`` draw.  The sphere norms sum the squares row by row, the
+    order in which ``np.linalg.norm(out, axis=0)`` sums them for two or more
+    columns; one column it sums pairwise, so it takes ``norm`` itself.
+    """
+    m, count = out.shape
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, count))
-    g /= np.linalg.norm(g, axis=0) if mode == "sphere" else np.sqrt(m)
-    return g
+    for row in out:
+        rng.standard_normal(out=row)
+    if mode == "gaussian":
+        out /= np.sqrt(m)
+    elif count == 1:
+        out /= np.linalg.norm(out, axis=0)
+    else:
+        squares = np.square(out[0])
+        for row in out[1:]:
+            squares += np.square(row)
+        out /= np.sqrt(squares, out=squares)
+    return out
 
 
 def union_of_subspaces(
@@ -243,8 +278,10 @@ def union_of_subspaces(
     Outlier columns are never noise-corrupted or erased.
 
     Each block of points is written into the one ``m x N`` matrix the data
-    set keeps; only noise or erasures (:func:`corrupt`) make a copy of the
-    inliers, and only erasures build the per-point erased-index lists.
+    set keeps, the outliers drawn straight into their columns
+    (:func:`_draw_outliers`); only noise or erasures (:func:`corrupt`) make
+    a copy of the inliers, and only erasures build the per-point
+    erased-index lists.
 
     Raises
     ------
@@ -272,7 +309,7 @@ def union_of_subspaces(
 
     erased = None
     if sigma2 != 0.0 or erasures != 0:
-        data[:, :inliers], erased = corrupt(
+        data[:, :inliers], erased = _corrupt(
             data[:, :inliers], sigma2, erasures, derive_seed(seed, L + 1), noise_first
         )
     # Checked after sigma2, from which the CLI derives its default scale.
@@ -281,13 +318,14 @@ def union_of_subspaces(
     if inlier_scale != 1.0:
         data[:, :inliers] *= inlier_scale
 
-    data[:, inliers:] = sample_outliers(m, n_outliers, outlier_mode, derive_seed(seed, L))
+    _check_outliers(m, n_outliers, outlier_mode)
+    _draw_outliers(data[:, inliers:], outlier_mode, derive_seed(seed, L))
     labels = np.repeat([*range(1, L + 1), 0], [*counts, n_outliers])
-    if erasures > 0:
+    if erased is not None:
         erased += [np.empty(0, dtype=int) for _ in range(n_outliers)]
     return GroundTruth(
         points=PointSet(data, labels),
         outlier_mask=labels == 0,
-        erased_sets=erased if erasures > 0 else None,
+        erased_sets=erased,
         params=dict(params or {}, seed=int(seed)),
     )

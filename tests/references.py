@@ -46,11 +46,18 @@ def union_of_subspaces_hstack(bases, n, seed, sigma2=0.0, erasures=0, n_outliers
                        for l, (U, count) in enumerate(zip(bases, counts))])
     inliers, erased = corrupt(clean, sigma2, erasures, derive_seed(seed, L + 1), noise_first)
     inliers = inliers * inlier_scale
-    g = np.random.default_rng(derive_seed(seed, L)).standard_normal((m, n_outliers))
-    outliers = g / (np.linalg.norm(g, axis=0) if outlier_mode == "sphere" else np.sqrt(m))
+    outliers = sample_outliers_whole(m, n_outliers, outlier_mode, derive_seed(seed, L))
     labels = np.concatenate([np.repeat(np.arange(1, L + 1), counts), np.zeros(n_outliers, int)])
     erased = erased + [np.empty(0, dtype=int)] * n_outliers if erasures else None
     return np.hstack([inliers, outliers]), labels, erased
+
+
+def sample_outliers_whole(m, count, mode, seed):
+    """The outliers of ``synth.sample_outliers`` drawn as one ``(m, count)``
+    array and divided by ``np.linalg.norm`` of its columns (``"sphere"``) or
+    by ``sqrt(m)``."""
+    g = np.random.default_rng(seed).standard_normal((m, count))
+    return g / (np.linalg.norm(g, axis=0) if mode == "sphere" else np.sqrt(m))
 
 
 def kmeans_every_restart(rows, k, seed, restarts=10, max_iter=100):

@@ -24,6 +24,7 @@ from references import (
     inner_product_abs_cdf,
     inner_product_abs_pdf,
     orthogonal_ensemble,
+    sample_outliers_whole,
     union_of_subspaces_hstack,
 )
 
@@ -191,6 +192,24 @@ class TestCorrupt:
         values = np.concatenate([out[idx, j] for j, idx in enumerate(erased)])
         assert np.all(values != 0.0)
 
+    def test_noise_only_builds_no_erased_sets(self, monkeypatch):
+        # Noise without erasures makes no empty index array per point in
+        # union_of_subspaces; corrupt itself still returns one per point.
+        bases = haar_ensemble(20, 4, 3, seed=1)
+        made = []
+        empty = np.empty
+
+        def counted(shape, *args, **kwargs):
+            if shape == 0:
+                made.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counted)
+        gt = union_of_subspaces(bases, 100, seed=2, sigma2=0.1, n_outliers=50)
+        assert gt.erased_sets is None and made == []
+        _, erased = corrupt(np.ones((5, 40)), 0.1, 0, seed=0)
+        assert len(erased) == len(made) == 40
+
     def test_bad_params(self):
         X = np.zeros((4, 2))
         for sigma2 in (-1.0, math.nan, math.inf):
@@ -216,6 +235,16 @@ class TestSampleOutliers:
     def test_unknown_mode(self):
         with pytest.raises(InvalidDims):
             sample_outliers(7, 3, "cauchy", seed=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    @pytest.mark.parametrize("mode", ["sphere", "gaussian"])
+    def test_matches_whole_draw(self, m, mode):
+        # Drawn row by row and normalized in place, the bits of one (m, count)
+        # draw divided by its column norms; numpy sums one column pairwise.
+        for count in (0, 1, 2, 3, 17, 4000):
+            got = sample_outliers(m, count, mode, seed=count)
+            want = sample_outliers_whole(m, count, mode, count)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), count
 
 
 class TestUnionOfSubspaces:
@@ -271,12 +300,24 @@ class TestUnionOfSubspaces:
             for got, want in zip(gt.erased_sets, erased):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4000])
+    def test_outliers_match_stacked_blocks(self, m, count):
+        bases = haar_ensemble(m, 3, 1, seed=m)
+        for mode in ("sphere", "gaussian"):
+            for sigma2 in (0.0, 0.4):
+                options = dict(sigma2=sigma2, n_outliers=count, outlier_mode=mode)
+                gt = union_of_subspaces(bases, 4, seed=count, **options)
+                data, labels, _ = union_of_subspaces_hstack(bases, 4, count, **options)
+                assert gt.points.data.tobytes() == data.tobytes(), (mode, sigma2)
+                np.testing.assert_array_equal(gt.points.labels, labels)
+
     def test_peak_memory_at_m_200(self):
         # The outliers cell at m = 200: 4000 points on 80 subspaces and 4000
-        # sphere outliers, 12.2 MiB.  The data are written once; the outlier
-        # draw and its squares (for the norms) add 6.1 MiB each, 24.5 MiB in
-        # all.  Stacking separate blocks would hold the inliers three times
-        # over, 33.1 MiB.
+        # sphere outliers, 12.2 MiB.  The data are written once, the outliers
+        # drawn into their columns one row at a time; the norms take O(count).
+        # A separate outlier draw and its squares added 6.1 MiB each, and
+        # stacking separate blocks would hold the inliers three times over.
         bases = haar_ensemble(200, 80, 5, seed=32)
         tracemalloc.start()
         try:
@@ -284,7 +325,7 @@ class TestUnionOfSubspaces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * gt.points.data.nbytes + 2**20
+        assert peak < gt.points.data.nbytes + 2**20
 
     def test_save_round_trip(self, tmp_path):
         import json
